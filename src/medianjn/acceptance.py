@@ -42,7 +42,6 @@ from .errors import EmptyLevelSet, PreconditionViolated, ThresholdViolated
 from .generators import canonical_function, cluster_space, grid_space
 from .median import (
     SampleFunction,
-    _maximal_median_rows,
     maximal_median,
     median_oscillation,
     weighted_maximal_median,
@@ -288,6 +287,17 @@ def criterion_01(seed=1001, instances=1000) -> CaseResult:
 
 
 # ---------------------------------------------------------------- criterion 2
+
+
+def _maximal_median_rows(rows: np.ndarray, weights: np.ndarray, s: float) -> np.ndarray:
+    """Row-wise maximal s-median of each row under shared weights."""
+    order = np.argsort(rows, axis=1)
+    v = np.take_along_axis(rows, order, axis=1)
+    w = weights[order]
+    total = weights.sum()
+    tails = total - np.cumsum(w, axis=1)
+    j = np.argmax(tails < s * total, axis=1)
+    return v[np.arange(rows.shape[0]), j]
 
 
 def _median_osc_grid_oracle(vals, w, s, points=10_001, rounds=3):
@@ -662,8 +672,7 @@ def criterion_09(seed=1009, instances=200) -> CaseResult:
         p = float(rng.choice([1.5, 2.0, 3.0]))
         K = float(rng.choice([0.0, 1.3, 1.6]))
         params, f, thr, height = spike_cluster_config(rng, p=p, K=K if K > 1 else None)
-        beta = 2.0 * params.K**p * params.profile.c_mu**3
-        s = params.t / beta * 0.999
+        s = params.t / params.beta * 0.999
         lam_hi = 0.98 * height / params.K
         if thr >= lam_hi:
             continue

@@ -448,18 +448,20 @@ def good_lambda_sides(f, params: CZParams, p: float, s: float, lam: float) -> Go
 
     lhs sums the measures of the K lambda-level balls; rhs combines the
     John-Nirenberg norm of f on hat-B0 with half the K^{-p}-scaled measure
-    sum at level lambda.  Raises PreconditionViolated with the failing
-    hypothesis named.
+    sum at level lambda.  ``p`` must equal ``params.p``, which fixed K and
+    beta; otherwise InvalidParameter.  Raises PreconditionViolated with the
+    failing hypothesis named.
     """
     space = params.space
     K = params.K
+    if p != params.p:
+        raise InvalidParameter(f"p={p:.6g} differs from params.p={params.p:.6g}, which fixed K")
     if not (0.0 < params.t <= 0.5):
         raise PreconditionViolated(f"t must lie in (0, 1/2], got {params.t}")
     c3 = params.profile.c_mu**3
-    beta = 2.0 * K**p * c3
-    if s > params.t / beta * (1.0 + _REL_EPS):
+    if s > params.t / params.beta * (1.0 + _REL_EPS):
         raise PreconditionViolated(
-            f"s={s:.6g} exceeds t / (2 K^p c_mu^3) = {params.t / beta:.6g}"
+            f"s={s:.6g} exceeds t / (2 K^p c_mu^3) = {params.t / params.beta:.6g}"
         )
     g = np.abs(_as_values(space, f))
     hat_idx = list(params.b0_hat.idx)

@@ -8,16 +8,17 @@ with 0 < s <= 1.  On a finite space the infimum is attained at a sample
 value, and the result is itself an s-median: the mass strictly above it is
 at most s * mu(A) and the mass strictly below at most (1 - s) * mu(A).
 
-Median oscillation of f on a set B is inf_c m_{|f - c|}^s(B).  Between
-consecutive values of the candidate set {f(x)} together with all pairwise
-midpoints, the weighted ranking of |f(x) - c| is constant, so the objective
-is piecewise linear in c with slope +-1 and its minimum is attained on that
-finite candidate set.
+Median oscillation of f on a set B is inf_c m_{|f - c|}^s(B).  Since
+m_{|f - c|}^s(B) <= a exactly when mu{|f - c| <= a} > (1 - s) mu(B), the
+infimum is half the width of the shortest closed window [u_i, u_j] between
+two sample values whose complement has mass below s mu(B), attained at the
+window's midpoint (Rousseeuw's shorth, JASA 1984).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,17 +113,6 @@ def weighted_maximal_median(values: np.ndarray, weights: np.ndarray, s: float) -
     return float(v[j])
 
 
-def _maximal_median_rows(rows: np.ndarray, weights: np.ndarray, s: float) -> np.ndarray:
-    """Row-wise kernel: maximal s-median of each row under shared weights."""
-    order = np.argsort(rows, axis=1)
-    v = np.take_along_axis(rows, order, axis=1)
-    w = weights[order]
-    total = weights.sum()
-    tails = total - np.cumsum(w, axis=1)
-    j = np.argmax(tails < s * total, axis=1)
-    return v[np.arange(rows.shape[0]), j]
-
-
 def maximal_median(space: Space, f, subset, s: float) -> float:
     """m_f^s(A): the largest s-median of f over the subset.
 
@@ -154,7 +144,7 @@ def median_oscillation(space: Space, f, subset, s: float) -> tuple[float, float]
             return hit
     vals = _as_values(space, f)[list(q.idx)]
     w = space.weights[list(q.idx)]
-    u = np.unique(vals)
+    u, inverse = np.unique(vals, return_inverse=True)
     if len(u) == 1:
         result = (0.0, float(u[0]))
     elif q.s * w.sum() <= w.min():
@@ -162,12 +152,35 @@ def median_oscillation(space: Space, f, subset, s: float) -> tuple[float, float]
         # every c, so the infimum is the half-range at the midrange point.
         result = (float((u[-1] - u[0]) / 2.0), float((u[0] + u[-1]) / 2.0))
     else:
-        # All pairwise averages; i == j reproduces the values themselves.
-        cands = np.unique((u[:, None] + u[None, :]).ravel() / 2.0)
-        rows = np.abs(vals[None, :] - cands[:, None])
-        meds = _maximal_median_rows(rows, w, q.s)
-        i = int(np.argmin(meds))  # first minimum: smallest candidate wins ties
-        result = (float(meds[i]), float(cands[i]))
+        result = _shortest_window(u, np.bincount(inverse, weights=w), float(w.sum()), q.s)
     if isinstance(f, SampleFunction):
         f._cache[key] = result
     return result
+
+
+def _shortest_window(u: np.ndarray, mass: np.ndarray, total: float, s: float) -> tuple[float, float]:
+    """Kernel: leftmost shortest window [u_i, u_j] with outside mass < s * total.
+
+    ``u`` holds the sorted distinct values and ``mass`` their summed
+    weights.  A window passes when total - mu[u_i, u_j] < s * total, the
+    strict-tail test of ``weighted_maximal_median``.  The first passing
+    right end never moves left as the left end advances, so two pointers
+    visit each value once.  Returns (value, c) with c the window midpoint.
+    """
+    vals = u.tolist()
+    cum = np.cumsum(mass).tolist()
+    thr = s * total
+    best = (math.inf, 0.0)
+    below = 0.0
+    j = 0
+    for i, lo in enumerate(vals):
+        while j < len(vals) and not total - (cum[j] - below) < thr:
+            j += 1
+        if j == len(vals):
+            break
+        mid = (lo + vals[j]) / 2.0
+        width = max(abs(lo - mid), abs(vals[j] - mid))
+        if width < best[0]:  # strict: the leftmost window wins ties
+            best = (width, mid)
+        below = cum[i]
+    return best

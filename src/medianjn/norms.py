@@ -290,27 +290,28 @@ def _packed_sup(space: Space, region_idx, balls, terms, mode: str, force: bool):
         return float((per_point * weights * avail).sum())
 
     def dfs(rem, avail, current, chosen):
+        # Only the include branch recurses, so the depth is bounded by the
+        # packing size; excluding rem[0] continues this loop instead.
         nonlocal best_total, best_choice
         if current > best_total:
             best_total = current
             best_choice = list(chosen)
-        if not rem:
-            return
-        slack = best_total - current
-        if float(term_arr[rem].sum()) <= slack:
-            return
-        if clique_bound(rem) <= slack:
-            return
-        if density_bound(rem, avail) <= slack:
-            return
-        j = rem[0]
-        sub_rem = [k for k in rem[1:] if masks[k] & masks[j] == 0]
-        sub_avail = avail.copy()
-        sub_avail[list(member_matrix[j].nonzero()[0])] = False
-        chosen.append(j)
-        dfs(sub_rem, sub_avail, current + float(term_arr[j]), chosen)
-        chosen.pop()
-        dfs(rem[1:], avail, current, chosen)
+        while rem:
+            slack = best_total - current
+            if float(term_arr[rem].sum()) <= slack:
+                return
+            if clique_bound(rem) <= slack:
+                return
+            if density_bound(rem, avail) <= slack:
+                return
+            j = rem[0]
+            sub_rem = [k for k in rem[1:] if masks[k] & masks[j] == 0]
+            sub_avail = avail.copy()
+            sub_avail[list(member_matrix[j].nonzero()[0])] = False
+            chosen.append(j)
+            dfs(sub_rem, sub_avail, current + float(term_arr[j]), chosen)
+            chosen.pop()
+            rem = rem[1:]
 
     dfs(list(range(len(order))), np.ones(n, dtype=bool), 0.0, [])
     return best_total, [order[j] for j in best_choice]

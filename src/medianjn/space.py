@@ -115,8 +115,9 @@ class Ball:
 class DoublingProfile:
     """Doubling constant, dimension, and the measure-ratio certificate.
 
-    ``c_mu`` is the maximum of mu(2B)/mu(B) over canonical balls, clamped
-    below by ``MIN_DOUBLING``; ``dimension`` is log2(c_mu).  The certificate
+    ``c_mu`` is the maximum of mu(2B)/mu(B) over every center and every
+    representative radius from ``center_radii``, clamped below by
+    ``MIN_DOUBLING``; ``dimension`` is log2(c_mu).  The certificate
     records the worst quadruple (x, R, y, r) with y in B(x, R) and
     0 < r <= R for the bound mu(B(x,R))/mu(B(y,r)) <= c_mu^2 (R/r)^D,
     together with the largest observed ratio of left to right side.
@@ -130,17 +131,18 @@ class DoublingProfile:
 
 
 def _make_ball(space: Space, center_idx: int, radius: float) -> Ball:
-    row = space.dist[center_idx]
-    sel = np.nonzero(row < radius)[0]
-    mask = 0
-    for i in sel:
-        mask |= 1 << int(i)
+    inside = space.dist[center_idx] < radius
+    sel = np.flatnonzero(inside)
+    cache = space._cache()
+    ids = cache.get("ids")
+    if ids is None:
+        ids = cache["ids"] = np.array(space.point_ids, dtype=object)
     return Ball(
         center=space.point_ids[center_idx],
         radius=float(radius),
-        members=tuple(space.point_ids[int(i)] for i in sel),
-        idx=tuple(int(i) for i in sel),
-        mask=mask,
+        members=tuple(ids[sel].tolist()),
+        idx=tuple(sel.tolist()),
+        mask=int.from_bytes(np.packbits(inside, bitorder="little").tobytes(), "little"),
     )
 
 
@@ -287,11 +289,13 @@ def canonical_balls(space: Space, region=None) -> tuple[Ball, ...]:
     cache = space._cache()
     if key in cache:
         return cache[key]
-    region_set = set(region_idx)
+    outside = (1 << space.n) - 1
+    for i in region_idx:
+        outside ^= 1 << i
     best: dict[tuple[int, ...], tuple[tuple[int, float], Ball]] = {}
     for ci in region_idx:
         for ball in center_balls(space, ci):
-            if not all(i in region_set for i in ball.idx):
+            if ball.mask & outside:
                 continue
             rank = (ci, -ball.radius)
             prev = best.get(ball.idx)
@@ -308,32 +312,36 @@ def canonical_balls(space: Space, region=None) -> tuple[Ball, ...]:
 
 
 def doubling_profile(space: Space) -> DoublingProfile:
-    """Doubling constant over canonical balls plus the ratio certificate."""
+    """Doubling constant over every center and radius, plus the ratio certificate."""
     cache = space._cache()
     if "profile" in cache:
         return cache["profile"]
 
+    # mu(2B) depends on the center, so every (center, representative radius)
+    # pair counts, not only one center per member set.
+    n = space.n
+    radii_list = [center_radii(space, c) for c in range(n)]
+    mus = []
     worst = 1.0
-    for ball in canonical_balls(space):
-        ci = space.index(ball.center)
-        doubled = np.nonzero(space.dist[ci] < 2.0 * ball.radius)[0]
-        worst = max(worst, space.mu(doubled) / space.mu(ball.idx))
+    w = space.weights
+    for c in range(n):
+        row = space.dist[c]
+        mu_r = np.array([w[row < r].sum() for r in radii_list[c]])
+        mu_2r = np.array([w[row < 2.0 * r].sum() for r in radii_list[c]])
+        worst = max(worst, float((mu_2r / mu_r).max()))
+        mus.append(mu_r)
     c_mu = max(worst, MIN_DOUBLING)
     dim = math.log2(c_mu)
 
     # Certificate sweep: per center, prefix maxima of r^D / mu(B(y, r)) over
     # its canonical radii make each (x, R) check a single lookup per member.
-    n = space.n
-    radii_list = [center_radii(space, c) for c in range(n)]
     mmax = max(len(r) for r in radii_list)
     rad_mat = np.full((n, mmax), np.inf)
     g_pref = np.zeros((n, mmax))
     arg_pref = np.zeros((n, mmax), dtype=int)
-    mus = []
     for c in range(n):
         rr = radii_list[c]
-        mu_r = np.array([space.mu(np.nonzero(space.dist[c] < r)[0]) for r in rr])
-        g = rr**dim / mu_r
+        g = rr**dim / mus[c]
         pref = np.maximum.accumulate(g)
         arg = np.zeros(len(rr), dtype=int)
         best_i = 0
@@ -344,15 +352,13 @@ def doubling_profile(space: Space) -> DoublingProfile:
         rad_mat[c, : len(rr)] = rr
         g_pref[c, : len(rr)] = pref
         arg_pref[c, : len(rr)] = arg
-        mus.append(mu_r)
 
     worst_ratio = 0.0
     worst_quad = (space.point_ids[0], radii_list[0][0], space.point_ids[0], radii_list[0][0])
     c_sq = c_mu * c_mu
     for x in range(n):
-        for big_r in radii_list[x]:
-            members = np.nonzero(space.dist[x] < big_r)[0]
-            mu_big = space.mu(members)
+        for big_r, mu_big in zip(radii_list[x], mus[x]):
+            members = np.flatnonzero(space.dist[x] < big_r)
             lead = mu_big / (c_sq * big_r**dim)
             counts = (rad_mat[members] <= big_r).sum(axis=1)
             ok = counts > 0

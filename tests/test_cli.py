@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -99,3 +102,33 @@ def test_verify_all_worker_determinism(capsys):
     main(["verify-all", "--criteria", "3,7", "--output", "json", "--workers", "3"])
     three = capsys.readouterr().out
     assert one == three
+
+
+def _readme_commands():
+    """The ``medianjn`` command lines of the README's sh blocks, continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("medianjn "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # Runs every README command whose input files the README itself
+    # generates.  verify-all needs no input but takes the whole suite; the
+    # round-trip acceptance criterion already runs it.
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    generated = {argv[argv.index("--out") + 1] for argv in commands if argv[0] == "generate"}
+    ran = []
+    for argv in commands:
+        inputs = [argv[i + 1] for i, a in enumerate(argv)
+                  if a in ("--space", "--function", "--balls", "--decomposition")]
+        if argv[0] == "verify-all" or not set(inputs) <= generated:
+            continue
+        assert main(argv) == 0, (argv, capsys.readouterr())
+        ran.append(argv[0])
+    capsys.readouterr()
+    assert {"jn-median", "cz", "good-lambda", "verify-local-jn"} <= set(ran)

@@ -6,6 +6,7 @@ from medianjn.acceptance import spike_cluster_config
 from medianjn.errors import (
     EmptyLevelSet,
     InvalidCenterLevel,
+    InvalidParameter,
     InvalidS,
     PreconditionViolated,
     ThresholdViolated,
@@ -148,6 +149,15 @@ def test_good_lambda_preconditions():
     const = fn(params.space, np.ones(params.space.n))
     with pytest.raises(PreconditionViolated):
         mj.good_lambda_sides(const, params, 2.0, params.t / params.beta * 0.9, 1.0)
+
+
+def test_good_lambda_rejects_other_p():
+    # K and beta were fixed from params.p, so another p would mix exponents.
+    rng = np.random.default_rng(33)
+    params, f, thr, height = spike_cluster_config(rng, p=2.0)
+    lam = 0.5 * (thr + 0.9 * height / params.K)
+    with pytest.raises(InvalidParameter, match="params.p"):
+        mj.good_lambda_sides(f, params, 3.0, params.t / params.beta * 0.5, lam)
 
 
 def test_good_lambda_passes():

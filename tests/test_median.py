@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import medianjn as mj
 from medianjn.errors import EmptySet, InvalidS
 
-from util import fn, random_space, two_point_space
+from util import fn, line_space, random_space, two_point_space
 
 
 def test_indicator_half_median():
@@ -125,6 +125,87 @@ def test_oscillation_grid_oracle_spot():
         oracle = _median_osc_grid_oracle(f.values, sp.weights, s)
         span = float(f.values.max() - f.values.min())
         assert abs(mine - oracle) <= 1e-6 * max(span, 1e-9)
+
+
+def _pairwise_midpoint_oscillation(vals, w, s):
+    """The former exhaustive scan: every pairwise midpoint as a candidate c."""
+    u = np.unique(vals)
+    if len(u) == 1:
+        return (0.0, float(u[0]))
+    if s * w.sum() <= w.min():
+        return (float((u[-1] - u[0]) / 2.0), float((u[0] + u[-1]) / 2.0))
+    cands = np.unique((u[:, None] + u[None, :]).ravel() / 2.0)
+    rows = np.abs(vals[None, :] - cands[:, None])
+    order = np.argsort(rows, axis=1)
+    tails = w.sum() - np.cumsum(w[order], axis=1)
+    meds = np.take_along_axis(rows, order, axis=1)[
+        np.arange(len(cands)), np.argmax(tails < s * w.sum(), axis=1)
+    ]
+    i = int(np.argmin(meds))
+    return (float(meds[i]), float(cands[i]))
+
+
+def test_oscillation_matches_pairwise_midpoint_scan():
+    # Ties (rounded and integer values), integer, dyadic and real weights,
+    # s over (0, 1].  The value is bit-identical; c may differ only by rounding
+    # where two value pairs share a midpoint, and it must still attain the
+    # value.
+    rng = np.random.default_rng(41)
+    for trial in range(1500):
+        n = int(rng.integers(1, 26))
+        vals = [
+            rng.normal(size=n),
+            np.round(rng.normal(size=n), 1),
+            rng.integers(0, 5, size=n).astype(float),
+            np.round(rng.uniform(-3.0, 3.0, size=n), 2),
+        ][trial % 4]
+        w = [
+            rng.integers(1, 5, size=n).astype(float),
+            rng.uniform(0.2, 2.0, size=n),
+            np.ones(n),
+            rng.integers(1, 10, size=n) / 8.0,
+        ][trial % 4]
+        s = float(rng.choice([1.0, 0.75, 0.5, 0.3, 0.25, 0.1, rng.uniform(0.01, 1.0)]))
+        sp = line_space(range(n), weights=list(w))
+        value, c = mj.median_oscillation(sp, vals, None, s)
+        old_value, old_c = _pairwise_midpoint_oscillation(vals, w, s)
+        assert value == old_value, (trial, vals, w, s)
+        if c != old_c:
+            assert trial % 4 in (1, 3)  # decimal data, where midpoints coincide
+            assert abs(c - old_c) <= np.spacing(np.abs(vals).max())
+            assert mj.weighted_maximal_median(np.abs(vals - c), w, s) == value
+
+
+@pytest.mark.parametrize(
+    "vals, w, s, expected",
+    [
+        ([1.0, 4.0, 1.0, 3.0], [0.5, 0.1, 0.30000000000000004, 0.1], 0.2, (0.0, 1.0)),
+        ([5.0, 1.0, 2.0, 0.0], [4 / 3, 1.0, 3.0, 4 / 3], 0.2, (1.0, 1.0)),
+    ],
+)
+def test_oscillation_rounded_threshold(vals, w, s, expected):
+    # Outside masses that round onto s * mu(B): windows pass or fail by the
+    # same float test total - inside < s * total as the midpoint scan.
+    vals, w = np.array(vals), np.array(w)
+    sp = line_space(range(len(vals)), weights=list(w))
+    assert mj.median_oscillation(sp, vals, None, s) == expected
+    assert _pairwise_midpoint_oscillation(vals, w, s) == expected
+
+
+def test_oscillation_shorth_closed_form():
+    # Values 0..n-1 with unit weights at s = 1/2: the shortest window with
+    # mass above n/2 spans n/2 + 1 values, so the optimum is n/4 and the
+    # leftmost window [0, n/2] centers it at n/4.  The pairwise scan would
+    # need an (2n - 1) x n candidate matrix here.
+    n = 4096
+    # Median oscillation reads only the weights; a zero-stride placeholder
+    # keeps the n x n metric out of memory.
+    sp = mj.Space(
+        point_ids=tuple(f"p{i}" for i in range(n)),
+        weights=np.ones(n),
+        dist=np.broadcast_to(1.0, (n, n)),
+    )
+    assert mj.median_oscillation(sp, np.arange(n, dtype=float), None, 0.5) == (1024.0, 1024.0)
 
 
 def test_function_loading():

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -177,3 +179,23 @@ def test_result_json_shape():
     payload = res.to_json()
     assert set(payload) == {"norm", "packing", "mode"}
     assert set(payload["packing"][0]) == {"center", "radius", "oscillation", "term"}
+
+
+def test_exact_packing_depth_bounded_by_packing():
+    # 419 live candidates against a recursion limit about 100 frames above
+    # the caller: the search may nest only once per chosen ball.
+    g = mj.grid_space(1, 40)
+    f = fn(g, np.random.default_rng(0).normal(size=40))
+    live = sum(
+        mj.median_oscillation(g, f, b, 0.25)[0] > 0.0 for b in mj.canonical_balls(g)
+    )
+    expected = mj.jn_median_norm(g, f, None, 2.0, 0.25, mode="exact", force=True)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        assert live > sys.getrecursionlimit()
+        got = mj.jn_median_norm(g, f, None, 2.0, 0.25, mode="exact", force=True)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert got.total == expected.total
+    assert got.packing == expected.packing

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import medianjn as mj
+from medianjn import acceptance
 from medianjn.errors import (
     AsymmetricMetric,
     EmptyRegion,
@@ -146,6 +147,26 @@ def test_doubling_certificate_random():
         prof = mj.doubling_profile(sp)
         assert prof.certificate_ok, prof.worst_quadruple
         assert prof.c_mu >= 2.0  # any two-point doubling forces at least 2
+
+
+def test_doubling_counts_every_center():
+    # B(p6, 1.10934) has mu(2B)/mu(B) = 4.5907, but its member set is kept
+    # by canonical_balls only as a ball around p5, whose doubled ball is
+    # smaller.
+    rng = np.random.default_rng(0)
+    spaces = [acceptance.random_space(rng, max_n=12, min_n=3) for _ in range(9)]
+    assert mj.doubling_profile(spaces[8]).c_mu == pytest.approx(4.590713948414572, rel=1e-12)
+
+
+def test_ball_fields_past_one_word():
+    # 72 points, so member masks need two 64-bit words.
+    rng = np.random.default_rng(14)
+    sp = random_space(rng, min_n=72, max_n=72, dim=2)
+    balls = mj.canonical_balls(sp)
+    assert max(b.mask for b in balls).bit_length() == 72
+    for b in balls:
+        assert b.mask == sum(1 << i for i in b.idx)
+        assert b.members == tuple(sp.point_ids[i] for i in b.idx)
 
 
 def test_space_json_roundtrip():
