@@ -40,7 +40,6 @@ from .median import (
 from .norms import (
     BallPacking,
     JNResult,
-    NormParams,
     bmo_median_norm,
     integral_oscillation,
     jn_centered_sup,

@@ -3,8 +3,8 @@
 Each criterion function builds its own deterministic fixtures (seeded
 generators, no files, no network), checks the stated property at the
 stated tolerance, and returns a :class:`CaseResult`.  ``run_all`` executes
-criteria sequentially or on a thread pool; all case functions are pure, so
-the report is identical for any worker count.
+the criteria one after another; all case functions are pure, so repeated
+runs produce identical reports.
 
 Where the stopping-time machinery needs its preconditions to be
 satisfiable, fixtures use hierarchical cluster spaces: their doubling
@@ -18,7 +18,6 @@ configurations are asserted to raise the named errors instead.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -837,27 +836,24 @@ def criterion_11(seed=1011, lower_instances=100) -> CaseResult:
 
 
 def criterion_12(seed=1012) -> CaseResult:
-    """Determinism probe: a fast subset re-run twice and on two workers.
+    """Determinism probe: a fast subset re-run twice.
 
-    The full suite's run-to-run and worker-count determinism is asserted by
-    the test suite, which compares complete reports; this case keeps a
-    fast, self-contained probe inside every run.
+    The full suite's run-to-run determinism is asserted by the test suite,
+    which compares complete reports; this case keeps a fast,
+    self-contained probe inside every run.
     """
     failures = []
     fast = [3, 7]
-    a = run_all(workers=1, criteria=fast)
-    b = run_all(workers=1, criteria=fast)
-    c = run_all(workers=2, criteria=fast)
+    a = run_all(criteria=fast)
+    b = run_all(criteria=fast)
     as_json = [r.to_json() for r in a]
     if as_json != [r.to_json() for r in b]:
         failures.append("two sequential runs differ")
-    if as_json != [r.to_json() for r in c]:
-        failures.append("worker counts 1 and 2 differ")
     for entry in as_json:
         if set(entry) != {"id", "name", "pass", "detail"}:
             failures.append(f"report schema violated: {sorted(entry)}")
             break
-    detail = "subset re-run twice and with 2 workers, identical reports"
+    detail = "subset re-run twice, identical reports"
     if failures:
         detail += f"; first failure: {failures[0]}"
     return CaseResult("C12", "determinism-probe", not failures, detail)
@@ -882,15 +878,9 @@ CRITERIA = {
 }
 
 
-def run_all(workers: int = 1, criteria=None) -> list[CaseResult]:
+def run_all(criteria=None) -> list[CaseResult]:
     picks = sorted(criteria) if criteria else sorted(CRITERIA)
-    fns = [CRITERIA[k] for k in picks]
-    if workers <= 1:
-        results = [fn() for fn in fns]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda fn: fn(), fns))
-    return sorted(results, key=lambda r: r.cid)
+    return [CRITERIA[k]() for k in picks]
 
 
 def report_json(results) -> dict:

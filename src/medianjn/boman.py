@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .czd import alpha_of, local_jn_constant
+from .czd import _s0, alpha_of, local_jn_constant
 from .errors import (
     ConstructionFailed,
     InvalidParameter,
@@ -467,7 +467,7 @@ def global_jn_verify(
     profile = doubling_profile(space)
     eta = dec.c2 / dec.c1 - 1.0
     alpha = alpha_of(profile, eta)
-    s0 = min(1.0 / (2.0 * alpha), 1.0 / (8.0 * profile.c_mu**3))
+    s0 = _s0(profile, alpha)
     if not (0.0 < s <= s0 * (1.0 + 1e-12)):
         raise InvalidS(f"s must lie in (0, s0={s0:.6g}], got {s}")
     if not (s <= r_center <= 0.5):
@@ -509,7 +509,7 @@ def global_jn_verify(
         c_budget=float(c_budget),
         c0_empirical=ratio.c0,
         jn_norm=norm.value,
-        s0=float(s0),
+        s0=s0,
         passed=bool(c_meas <= c_budget * (1.0 + 1e-9)),
     )
 

@@ -182,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("json", "text"), default="text")
 
     p = sub.add_parser("verify-all", help="run the full acceptance suite")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--criteria", help="comma-separated criterion numbers (default all)")
     p.add_argument("--output", choices=("json", "text"), default="text")
     return parser
@@ -214,7 +213,7 @@ def _run(args) -> int:
         criteria = None
         if args.criteria:
             criteria = [int(v) for v in args.criteria.split(",")]
-        results = acceptance.run_all(workers=args.workers, criteria=criteria)
+        results = acceptance.run_all(criteria=criteria)
         payload = acceptance.report_json(results)
         lines = [
             f"{'PASS' if r.passed else 'FAIL'} {r.cid} {r.name}: {r.detail}"

@@ -45,7 +45,15 @@ from .errors import (
 )
 from .median import _as_values, maximal_median, weighted_maximal_median
 from .norms import jn_median_norm
-from .space import Ball, DoublingProfile, Space, center_balls, dilate, doubling_profile
+from .space import (
+    Ball,
+    DoublingProfile,
+    Space,
+    _distinct_balls,
+    center_balls,
+    dilate,
+    doubling_profile,
+)
 
 _REL_EPS = 1e-12
 
@@ -71,19 +79,15 @@ def cz_family(space: Space, b0: Ball, eta: float) -> tuple[Ball, ...]:
     if b0.size == 0:
         raise EmptyBase("cz_family needs a nonempty base ball")
     budget = eta * b0.radius
-    best: dict[tuple[int, ...], tuple[tuple[float, int], Ball]] = {}
-    for ci in b0.idx:
-        for ball in center_balls(space, ci, budget=budget):
-            rank = (-ball.radius, ci)
-            prev = best.get(ball.idx)
-            if prev is None or rank < prev[0]:
-                best[ball.idx] = (rank, ball)
-    return tuple(
-        sorted(
-            (entry[1] for entry in best.values()),
-            key=lambda b: (space.index(b.center), b.radius),
-        )
+    return _distinct_balls(
+        ((ci, ball) for ci in b0.idx for ball in center_balls(space, ci, budget=budget)),
+        lambda ci, ball: (-ball.radius, ci),
     )
+
+
+def _s0(profile: DoublingProfile, alpha: float) -> float:
+    """min(1/(2 alpha), 1/(8 c_mu^3)), the largest admissible level s."""
+    return float(min(1.0 / (2.0 * alpha), 1.0 / (8.0 * profile.c_mu**3)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +156,7 @@ def cz_params(
         K=float(K),
         alpha=alpha,
         beta=float(2.0 * K**p * c3),
-        s0=float(min(1.0 / (2.0 * alpha), 1.0 / (8.0 * c3))),
+        s0=_s0(profile, alpha),
         family=family,
         point_balls=tuple(tuple(lst) for lst in point_balls),
     )

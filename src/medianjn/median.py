@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptySet, InvalidParameter, InvalidS
-from .space import Ball, Space
+from .space import Space, _resolve_region
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,21 +76,10 @@ class MedianQuery:
     def of(space: Space, subset, s: float) -> "MedianQuery":
         if not (0.0 < s <= 1.0):
             raise InvalidS(f"s must lie in (0, 1], got {s}")
-        idx = _subset_idx(space, subset)
+        idx = _resolve_region(space, subset)
         if len(idx) == 0:
             raise EmptySet("median over an empty set")
         return MedianQuery(s=float(s), idx=idx)
-
-
-def _subset_idx(space: Space, subset) -> tuple[int, ...]:
-    if subset is None:
-        return tuple(range(space.n))
-    if isinstance(subset, Ball):
-        return subset.idx
-    items = list(subset)
-    if items and all(isinstance(p, (int, np.integer)) for p in items):
-        return tuple(sorted({int(p) for p in items}))
-    return tuple(sorted({space.index(p) for p in items}))
 
 
 def _as_values(space: Space, f) -> np.ndarray:

@@ -33,35 +33,12 @@ from .errors import (
 from .median import (
     SampleFunction,
     _as_values,
-    _subset_idx,
     median_oscillation,
     weighted_maximal_median,
 )
-from .space import Ball, Space, canonical_balls
+from .space import Ball, Space, _resolve_region, canonical_balls
 
 EXACT_MODE_LIMIT = 32
-
-
-@dataclass(frozen=True)
-class NormParams:
-    """Validated exponent/level bundle: 1 < p, 0 < q < p, 0 < s <= r <= 1/2."""
-
-    p: float
-    q: float
-    s: float
-    r_center: float
-
-    def __post_init__(self):
-        if not self.p > 1.0:
-            raise InvalidParameter(f"p must exceed 1, got {self.p}")
-        if not (0.0 < self.q < self.p):
-            raise InvalidParameter(f"q must lie in (0, p), got {self.q}")
-        if not (0.0 < self.s <= 0.5):
-            raise InvalidS(f"s must lie in (0, 1/2], got {self.s}")
-        if not (self.s <= self.r_center <= 0.5):
-            raise InvalidParameter(
-                f"r_center must lie in [s, 1/2], got {self.r_center}"
-            )
 
 
 @dataclass(frozen=True)
@@ -103,7 +80,7 @@ class JNResult:
 
 
 def _region_idx(space: Space, region) -> tuple[int, ...]:
-    idx = _subset_idx(space, region)
+    idx = _resolve_region(space, region)
     if len(idx) == 0:
         raise EmptyRegion("norm over an empty region")
     return idx
@@ -162,14 +139,16 @@ def _golden_min(fn, lo: float, hi: float, rel_tol: float = 1e-10) -> float:
 def integral_oscillation(space: Space, f, subset, q: float) -> tuple[float, float]:
     """inf over c of the weighted mean of |f - c|^q on the subset.
 
-    For q >= 1 the objective is convex: golden-section search bracketed by
-    [min f, max f], polished against the sample values, the weighted mean,
-    and the weighted median.  For q < 1 a 10^4-point grid with local
-    refinement is used (exact on the refined grid).
+    For q <= 1 the objective is concave (q < 1) or linear (q = 1) between
+    consecutive sample values, so a sample value attains the infimum and
+    the distinct sample values are the only candidates.  For q > 1 it is
+    convex: a golden-section search bracketed by [min f, max f] joins the
+    sample values and the weighted mean as candidates.  Returns the least
+    value and, among the candidates attaining it, the smallest c.
     """
     if not q > 0.0:
         raise NonPositiveQ(f"q must be positive, got {q}")
-    idx = list(_subset_idx(space, subset))
+    idx = list(_resolve_region(space, subset))
     if len(idx) == 0:
         raise EmptySet("oscillation over an empty set")
     vals = _as_values(space, f)[idx]
@@ -183,22 +162,9 @@ def integral_oscillation(space: Space, f, subset, q: float) -> tuple[float, floa
         return float((wn * np.abs(vals - c) ** q).sum())
 
     cands = list(np.unique(vals))
-    cands.append(float((wn * vals).sum()))
-    cands.append(weighted_maximal_median(vals, w, 0.5))
-    if q >= 1.0:
+    if q > 1.0:
+        cands.append(float((wn * vals).sum()))
         cands.append(_golden_min(objective, lo, hi))
-    else:
-        grid = np.linspace(lo, hi, 10_001)
-        scores = (wn[None, :] * np.abs(vals[None, :] - grid[:, None]) ** q).sum(axis=1)
-        best = int(scores.argmin())
-        step = (hi - lo) / 10_000.0
-        center = float(grid[best])
-        for _ in range(3):
-            local = np.linspace(center - step, center + step, 201)
-            scores = (wn[None, :] * np.abs(vals[None, :] - local[:, None]) ** q).sum(axis=1)
-            center = float(local[int(scores.argmin())])
-            step /= 100.0
-        cands.append(center)
     best_val, best_c = np.inf, None
     for c in sorted(cands):
         val = objective(c)

@@ -264,23 +264,45 @@ def center_balls(space: Space, center_idx: int, budget: float | None = None) -> 
 
 
 def _resolve_region(space: Space, region) -> tuple[int, ...]:
+    """Sorted distinct indices of a region: None, a Ball, point ids or indices.
+
+    Raises UnknownCenter for an unknown id or an index outside [0, n).
+    """
     if region is None:
         return tuple(range(space.n))
     if isinstance(region, Ball):
         return region.idx
     items = list(region)
     if items and all(isinstance(p, (int, np.integer)) for p in items):
-        idx = tuple(int(p) for p in items)
+        idx = {int(p) for p in items}
+        if min(idx) < 0 or max(idx) >= space.n:
+            raise UnknownCenter(f"point indices must lie in [0, {space.n}), got {sorted(idx)}")
     else:
-        idx = tuple(space.index(p) for p in items)
-    return tuple(sorted(set(idx)))
+        idx = {space.index(p) for p in items}
+    return tuple(sorted(idx))
+
+
+def _distinct_balls(pairs, rank) -> tuple[Ball, ...]:
+    """One ball per member set from (center index, ball) pairs.
+
+    Among balls with the same member set the smallest ``rank(center index,
+    ball)`` wins; the survivors are ordered by center index, then radius.
+    """
+    best: dict[tuple[int, ...], tuple] = {}
+    for ci, ball in pairs:
+        key = rank(ci, ball)
+        prev = best.get(ball.idx)
+        if prev is None or key < prev[0]:
+            best[ball.idx] = (key, ci, ball)
+    return tuple(entry[2] for entry in sorted(best.values(), key=lambda e: (e[1], e[2].radius)))
 
 
 def canonical_balls(space: Space, region=None) -> tuple[Ball, ...]:
     """All distinct balls whose member set lies inside ``region``.
 
     One ball per distinct member set; duplicates across centers keep the
-    smallest center index, then the largest radius.  Raises EmptyRegion.
+    smallest center index, then the largest radius.  Raises EmptyRegion
+    and UnknownCenter.
     """
     region_idx = _resolve_region(space, region)
     if len(region_idx) == 0:
@@ -292,20 +314,14 @@ def canonical_balls(space: Space, region=None) -> tuple[Ball, ...]:
     outside = (1 << space.n) - 1
     for i in region_idx:
         outside ^= 1 << i
-    best: dict[tuple[int, ...], tuple[tuple[int, float], Ball]] = {}
-    for ci in region_idx:
-        for ball in center_balls(space, ci):
-            if ball.mask & outside:
-                continue
-            rank = (ci, -ball.radius)
-            prev = best.get(ball.idx)
-            if prev is None or rank < prev[0]:
-                best[ball.idx] = (rank, ball)
-    balls = tuple(
-        sorted(
-            (entry[1] for entry in best.values()),
-            key=lambda b: (space.index(b.center), b.radius),
-        )
+    balls = _distinct_balls(
+        (
+            (ci, ball)
+            for ci in region_idx
+            for ball in center_balls(space, ci)
+            if not ball.mask & outside
+        ),
+        lambda ci, ball: (ci, -ball.radius),
     )
     cache[key] = balls
     return balls

@@ -96,14 +96,6 @@ def test_verify_all_subset(capsys):
     assert [c["id"] for c in payload["cases"]] == ["C03", "C07"]
 
 
-def test_verify_all_worker_determinism(capsys):
-    main(["verify-all", "--criteria", "3,7", "--output", "json", "--workers", "1"])
-    one = capsys.readouterr().out
-    main(["verify-all", "--criteria", "3,7", "--output", "json", "--workers", "3"])
-    three = capsys.readouterr().out
-    assert one == three
-
-
 def _readme_commands():
     """The ``medianjn`` command lines of the README's sh blocks, continuations joined."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()

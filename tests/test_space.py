@@ -108,6 +108,22 @@ def test_canonical_balls_region_filter():
         mj.canonical_balls(g, [])
 
 
+def test_integer_subset_out_of_range():
+    sp = line_space([0.0, 1.0, 2.0])
+    f = mj.SampleFunction.from_values(sp, [1.0, 2.0, 3.0])
+    calls = [
+        lambda bad: mj.maximal_median(sp, f, bad, 0.5),
+        lambda bad: mj.lp_norm(sp, f, bad, 2.0),
+        lambda bad: mj.canonical_balls(sp, bad),
+    ]
+    for call in calls:
+        for bad in ([-1], [-3], [7], [0, 3]):
+            with pytest.raises(UnknownCenter):
+                call(bad)
+    assert mj.maximal_median(sp, f, [2, np.int64(0)], 0.5) == 3.0
+    assert mj.lp_norm(sp, f, [0], 2.0) == 1.0
+
+
 def test_radius_monotonicity():
     rng = np.random.default_rng(11)
     sp = random_space(rng, max_n=10)

@@ -1,8 +1,9 @@
 """Shared helpers for the test suite."""
 
-import numpy as np
+import functools
 
 import medianjn as mj
+from medianjn import acceptance
 
 
 def two_point_space(w0=1.0, w1=1.0):
@@ -20,13 +21,6 @@ def fn(space, values):
     return mj.SampleFunction.from_values(space, values)
 
 
-def random_space(rng, max_n=12, min_n=2, dim=1, weight_lo=0.2, weight_hi=2.0):
-    n = int(rng.integers(min_n, max_n + 1))
-    while True:
-        coords = rng.uniform(0.0, 10.0, size=(n, dim))
-        diff = coords[:, None, :] - coords[None, :, :]
-        d = np.sqrt((diff**2).sum(-1)) + np.eye(n)
-        if d.min() > 1e-6:
-            break
-    w = rng.uniform(weight_lo, weight_hi, size=n)
-    return mj.build_space([f"p{i}" for i in range(n)], w, coords=coords)
+# The acceptance suite's generator, restricted by default to 1-D spaces of
+# at most 12 points.
+random_space = functools.partial(acceptance.random_space, max_n=12, dim=1)
