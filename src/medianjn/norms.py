@@ -12,6 +12,11 @@ sorted by decreasing term.  Three admissible upper bounds prune the search:
 * per remaining point, its weight times the best term density mu-rate of
   any remaining ball containing it.
 
+Every remaining ball is disjoint from every chosen one: including a ball
+keeps only the later candidates that share no point with it.  Each
+candidate's member row is packed once into 64-bit words, so that conflict
+test is one AND over the remaining rows per search node.
+
 Greedy mode repeatedly takes the heaviest compatible ball and is a lower
 bound, flagged as such in results.
 """
@@ -187,7 +192,7 @@ def bmo_median_norm(space: Space, f, region, s: float) -> float:
 # ---------------------------------------------------------------- packing
 
 
-def _greedy_pack(order, masks, terms):
+def _greedy_pack(order, masks):
     used = 0
     chosen = []
     for j in order:
@@ -197,7 +202,7 @@ def _greedy_pack(order, masks, terms):
     return chosen
 
 
-def _packed_sup(space: Space, region_idx, balls, terms, mode: str, force: bool):
+def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
     """Maximize the total term over pairwise-disjoint balls.
 
     Returns (total, chosen ball indices).  ``balls``/``terms`` must be
@@ -212,7 +217,7 @@ def _packed_sup(space: Space, region_idx, balls, terms, mode: str, force: bool):
     )
     masks = [balls[j].mask for j in order]
     term_arr = np.array([terms[j] for j in order])
-    greedy = _greedy_pack(range(len(order)), masks, term_arr)
+    greedy = _greedy_pack(range(len(order)), masks)
     greedy_total = float(term_arr[greedy].sum())
     if mode == "greedy":
         return greedy_total, [order[j] for j in greedy]
@@ -224,62 +229,61 @@ def _packed_sup(space: Space, region_idx, balls, terms, mode: str, force: bool):
             f"{EXACT_MODE_LIMIT}; pass force=True to search anyway"
         )
 
-    n = space.n
-    member_matrix = np.zeros((len(order), n), dtype=bool)
-    for row, j in enumerate(order):
-        member_matrix[row, list(balls[j].idx)] = True
+    m, n = len(order), space.n
+    member_matrix = np.zeros((m, n), dtype=bool)
+    member_matrix[
+        np.repeat(np.arange(m), [len(balls[j].idx) for j in order]),
+        np.concatenate([balls[j].idx for j in order]),
+    ] = True
     density = term_arr / member_matrix.dot(space.weights)
-    counts = member_matrix.sum(axis=0)
-    # Anchor every candidate at its most shared member point: candidates with
-    # a common anchor are pairwise intersecting, so each clique contributes
-    # at most one ball to any packing.
-    anchors = np.empty(len(order), dtype=int)
-    for row in range(len(order)):
-        pts = np.array(member_matrix[row].nonzero()[0])
-        anchors[row] = int(pts[np.argmax(counts[pts])])
+    # Anchor every candidate at its most shared member point, the lowest
+    # index among equals: candidates with a common anchor are pairwise
+    # intersecting, so each clique contributes at most one ball to any packing.
+    by_count = np.argsort(-member_matrix.sum(axis=0), kind="stable")
+    anchor_table = np.zeros((m, n), dtype=bool)
+    anchor_table[np.arange(m), by_count[member_matrix[:, by_count].argmax(axis=1)]] = True
+    # Member rows padded to whole 64-bit words, for the per-node conflict test.
+    words = np.packbits(np.pad(member_matrix, ((0, 0), (0, -n % 64))), axis=1).view(np.uint64)
 
     weights = space.weights
     best_total = greedy_total
     best_choice = list(greedy)
 
     def clique_bound(rem):
-        seen: dict[int, float] = {}
-        for j in rem:
-            a = anchors[j]
-            if term_arr[j] > seen.get(a, 0.0):
-                seen[a] = term_arr[j]
-        return sum(seen.values())
+        # Rows run by decreasing term, so the first remaining row at an
+        # anchor carries that clique's largest term.
+        table = anchor_table[rem]
+        return float(term_arr[rem[table.argmax(axis=0)[table.any(axis=0)]]].sum())
 
-    def density_bound(rem, avail):
-        sub = member_matrix[rem] & avail[None, :]
-        per_point = (sub * density[rem, None]).max(axis=0)
-        return float((per_point * weights * avail).sum())
+    def density_bound(rem):
+        # Remaining rows miss every chosen point, so no free-point mask.
+        per_point = (member_matrix[rem] * density[rem, None]).max(axis=0)
+        return float((per_point * weights).sum())
 
-    def dfs(rem, avail, current, chosen):
+    def dfs(rem, current, chosen):
         # Only the include branch recurses, so the depth is bounded by the
         # packing size; excluding rem[0] continues this loop instead.
         nonlocal best_total, best_choice
         if current > best_total:
             best_total = current
             best_choice = list(chosen)
-        while rem:
+        while len(rem):
             slack = best_total - current
             if float(term_arr[rem].sum()) <= slack:
                 return
             if clique_bound(rem) <= slack:
                 return
-            if density_bound(rem, avail) <= slack:
+            if density_bound(rem) <= slack:
                 return
             j = rem[0]
-            sub_rem = [k for k in rem[1:] if masks[k] & masks[j] == 0]
-            sub_avail = avail.copy()
-            sub_avail[list(member_matrix[j].nonzero()[0])] = False
+            tail = rem[1:]
             chosen.append(j)
-            dfs(sub_rem, sub_avail, current + float(term_arr[j]), chosen)
+            disjoint = ~(words[tail] & words[j]).any(axis=1)
+            dfs(tail[disjoint], current + float(term_arr[j]), chosen)
             chosen.pop()
-            rem = rem[1:]
+            rem = tail
 
-    dfs(list(range(len(order))), np.ones(n, dtype=bool), 0.0, [])
+    dfs(np.arange(m), 0.0, [])
     return best_total, [order[j] for j in best_choice]
 
 
@@ -291,7 +295,7 @@ def _jn_norm(space, region, p, per_ball, mode, force):
         osc, term = per_ball(ball)
         oscs.append(osc)
         terms.append(term)
-    total, chosen = _packed_sup(space, idx, balls, terms, mode, force)
+    total, chosen = _packed_sup(space, balls, terms, mode, force)
     chosen = sorted(chosen, key=lambda j: (space.index(balls[j].center), balls[j].radius))
     packing = BallPacking(
         balls=tuple(balls[j] for j in chosen),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import medianjn as mj
+from medianjn import acceptance, norms
 from medianjn.errors import EmptyRegion, ExactModeTooLarge, InvalidS, NonPositiveQ
 
 from util import fn, random_space, two_point_space
@@ -213,3 +214,157 @@ def test_exact_packing_depth_bounded_by_packing():
         sys.setrecursionlimit(saved)
     assert got.total == expected.total
     assert got.packing == expected.packing
+
+
+def _list_and_dict_packed_sup(space, balls, terms):
+    """The former exact search: Python lists, int bitmasks and an anchor dict."""
+    live = [j for j, t in enumerate(terms) if t > 0.0]
+    if not live:
+        return 0.0, []
+    order = sorted(
+        live,
+        key=lambda j: (-terms[j], space.index(balls[j].center), balls[j].radius),
+    )
+    masks = [balls[j].mask for j in order]
+    term_arr = np.array([terms[j] for j in order])
+    used, greedy = 0, []
+    for j in range(len(order)):
+        if masks[j] & used == 0:
+            used |= masks[j]
+            greedy.append(j)
+    n = space.n
+    member_matrix = np.zeros((len(order), n), dtype=bool)
+    for row, j in enumerate(order):
+        member_matrix[row, list(balls[j].idx)] = True
+    density = term_arr / member_matrix.dot(space.weights)
+    counts = member_matrix.sum(axis=0)
+    anchors = np.empty(len(order), dtype=int)
+    for row in range(len(order)):
+        pts = np.array(member_matrix[row].nonzero()[0])
+        anchors[row] = int(pts[np.argmax(counts[pts])])
+    weights = space.weights
+    best_total = float(term_arr[greedy].sum())
+    best_choice = list(greedy)
+
+    def clique_bound(rem):
+        seen = {}
+        for j in rem:
+            a = anchors[j]
+            if term_arr[j] > seen.get(a, 0.0):
+                seen[a] = term_arr[j]
+        return sum(seen.values())
+
+    def density_bound(rem, avail):
+        sub = member_matrix[rem] & avail[None, :]
+        per_point = (sub * density[rem, None]).max(axis=0)
+        return float((per_point * weights * avail).sum())
+
+    def dfs(rem, avail, current, chosen):
+        nonlocal best_total, best_choice
+        if current > best_total:
+            best_total = current
+            best_choice = list(chosen)
+        while rem:
+            slack = best_total - current
+            if float(term_arr[rem].sum()) <= slack:
+                return
+            if clique_bound(rem) <= slack:
+                return
+            if density_bound(rem, avail) <= slack:
+                return
+            j = rem[0]
+            sub_rem = [k for k in rem[1:] if masks[k] & masks[j] == 0]
+            sub_avail = avail.copy()
+            sub_avail[list(member_matrix[j].nonzero()[0])] = False
+            chosen.append(j)
+            dfs(sub_rem, sub_avail, current + float(term_arr[j]), chosen)
+            chosen.pop()
+            rem = rem[1:]
+
+    dfs(list(range(len(order))), np.ones(n, dtype=bool), 0.0, [])
+    return best_total, [order[j] for j in best_choice]
+
+
+def _median_terms(space, f, s, p, region=None):
+    balls = mj.canonical_balls(space, region)
+    terms = [space.mu(b.idx) * mj.median_oscillation(space, f, b, s)[0] ** p for b in balls]
+    return balls, terms
+
+
+def _near_region(space, size):
+    """The ``size`` points nearest to the last one, in index order."""
+    return sorted(np.argsort(space.dist[-1], kind="stable")[:size].tolist())
+
+
+def _search_identity_instances():
+    rng = np.random.default_rng(23)
+    for trial in range(24):
+        # Random 1-D and 2-D spaces with generic values.
+        dim = 1 + trial % 2
+        sp = acceptance.random_space(rng, min_n=16, max_n=30 if dim == 1 else 24, dim=dim)
+        yield sp, fn(sp, rng.normal(size=sp.n)), None
+    for trial in range(24):
+        # Unit-weight grids with integer or one-decimal values: many equal terms.
+        if trial % 2:
+            sp = mj.grid_space(2, int(rng.integers(3, 6)))
+        else:
+            sp = mj.grid_space(1, int(rng.integers(12, 29)))
+        if trial % 4 < 2:
+            values = rng.integers(0, 4, size=sp.n).astype(float)
+        else:
+            values = np.round(rng.normal(size=sp.n), 1)
+        yield sp, fn(sp, values), None
+    for n in (65, 67, 69, 70, 71):
+        # More than 64 points, not a multiple of 8: member rows span two
+        # words, and the region straddles the word boundary.
+        line = mj.grid_space(1, n)
+        yield line, fn(line, np.round(rng.normal(size=n), 1)), list(range(n - 24, n))
+        plane = acceptance.random_space(rng, min_n=n, max_n=n, dim=2)
+        yield plane, fn(plane, rng.normal(size=n)), _near_region(plane, 22)
+
+
+def test_exact_search_matches_list_and_dict_search():
+    # Total and chosen balls must match bit for bit, ties included.
+    levels = [(0.25, 2.0), (0.5, 1.5), (0.25, 3.0)]
+    searched = 0
+    for k, (sp, f, region) in enumerate(_search_identity_instances()):
+        s, p = levels[k % len(levels)]
+        balls, terms = _median_terms(sp, f, s, p, region)
+        if sum(t > 0.0 for t in terms) > 400:
+            continue
+        expected = _list_and_dict_packed_sup(sp, balls, terms)
+        assert norms._packed_sup(sp, balls, terms, "exact", True) == expected
+        searched += 1
+    assert searched >= 40
+
+
+def test_exact_packing_matches_milp_optimum():
+    # Mid-size cross-check: the weighted set-packing integer program, one
+    # row per point (at most one chosen ball covers it), solved by HiGHS.
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(31)
+    checked = 0
+    while checked < 6:
+        sp = acceptance.random_space(rng, min_n=18, max_n=28, dim=2)
+        f = fn(sp, rng.normal(size=sp.n))
+        s, p = float(rng.choice([0.25, 0.5])), float(rng.choice([1.5, 2.0, 3.0]))
+        balls, terms = _median_terms(sp, f, s, p)
+        if not 150 <= sum(t > 0.0 for t in terms) <= 500:
+            continue
+        total, chosen = norms._packed_sup(sp, balls, terms, "exact", True)
+        cover = np.zeros((sp.n, len(balls)))
+        for j, b in enumerate(balls):
+            cover[list(b.idx), j] = 1.0
+        res = optimize.milp(
+            -np.array(terms),
+            constraints=optimize.LinearConstraint(cover, -np.inf, 1.0),
+            integrality=np.ones(len(balls)),
+            bounds=optimize.Bounds(0.0, 1.0),
+            options={"mip_rel_gap": 0.0},
+        )
+        assert res.success
+        picked = np.flatnonzero(res.x > 0.5)
+        assert cover[:, picked].sum(axis=1).max() <= 1.0
+        assert total == pytest.approx(sum(terms[j] for j in picked), rel=1e-9)
+        assert total == pytest.approx(sum(terms[j] for j in chosen), rel=1e-12)
+        checked += 1
