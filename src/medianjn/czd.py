@@ -49,8 +49,7 @@ from .space import (
     Ball,
     DoublingProfile,
     Space,
-    _distinct_balls,
-    center_balls,
+    _prefix_balls,
     dilate,
     doubling_profile,
 )
@@ -79,10 +78,7 @@ def cz_family(space: Space, b0: Ball, eta: float) -> tuple[Ball, ...]:
     if b0.size == 0:
         raise EmptyBase("cz_family needs a nonempty base ball")
     budget = eta * b0.radius
-    return _distinct_balls(
-        ((ci, ball) for ci in b0.idx for ball in center_balls(space, ci, budget=budget)),
-        lambda ci, ball: (-ball.radius, ci),
-    )
+    return _prefix_balls(space, b0.idx, budget=budget)
 
 
 def _s0(profile: DoublingProfile, alpha: float) -> float:

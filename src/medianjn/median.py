@@ -13,18 +13,43 @@ m_{|f - c|}^s(B) <= a exactly when mu{|f - c| <= a} > (1 - s) mu(B), the
 infimum is half the width of the shortest closed window [u_i, u_j] between
 two sample values whose complement has mass below s mu(B), attained at the
 window's midpoint (Rousseeuw's shorth, JASA 1984).
+
+One kernel, ``_shorth_rows``, evaluates this for a whole family of sets
+(every canonical ball of a region) with array operations, and returns
+for each set exactly the bits of the one-set computation:
+
+* Rows are sorted stably by value, so equal values keep index order and
+  ``bincount`` sums each distinct value's mass left to right, as it does
+  for one set; a row-wise cumsum gives the cumulative masses.
+* For every left end i, the first passing right end j is found by a
+  bisection on the strict-tail expression total - (cum[j] - below_i) <
+  s * total itself.  Float subtraction is monotone and the masses are
+  positive, so the expression is monotone in j and the bisection picks
+  the same j as a two-pointer scan would; the leftmost minimal width wins.
+* mu(B) is ``weights[idx].sum()``: numpy sums a 1-D array pairwise, and a
+  row sum of a C-contiguous 2-D array runs the same pairwise loop, while
+  zero-padded rows or ``np.add.reduceat`` group the additions differently.
+  So totals are taken on one array per ball size.
+* Norm terms mu * osc**p are formed from Python floats: numpy's vectorised
+  ``power`` can differ from ``**`` in the last bit.
+
+The sign of a zero center c is that of the lowest-index member holding
+the value.  Rows are processed in blocks of bounded padded size.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .errors import EmptySet, InvalidParameter, InvalidS
 from .space import Space, _resolve_region
+
+# Padded (rows x width) elements per block of the batched shorth kernel.
+_BLOCK_ELEMS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +113,8 @@ def _as_values(space: Space, f) -> np.ndarray:
     arr = np.asarray(f, dtype=float)
     if arr.shape != (space.n,):
         raise InvalidParameter("values must match the number of points")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidParameter("function values must be finite")
     return arr
 
 
@@ -131,45 +158,114 @@ def median_oscillation(space: Space, f, subset, s: float) -> tuple[float, float]
         hit = f._cache.get(key)
         if hit is not None:
             return hit
-    vals = _as_values(space, f)[list(q.idx)]
-    w = space.weights[list(q.idx)]
-    u, inverse = np.unique(vals, return_inverse=True)
-    if len(u) == 1:
-        result = (0.0, float(u[0]))
-    elif q.s * w.sum() <= w.min():
-        # Below the lightest atom the s-median of |f - c| is its maximum for
-        # every c, so the infimum is the half-range at the midrange point.
-        result = (float((u[-1] - u[0]) / 2.0), float((u[0] + u[-1]) / 2.0))
-    else:
-        result = _shortest_window(u, np.bincount(inverse, weights=w), float(w.sum()), q.s)
+    osc, c, _ = _shorth_rows(_as_values(space, f), space.weights, [q.idx], q.s)
+    result = (float(osc[0]), float(c[0]))
     if isinstance(f, SampleFunction):
         f._cache[key] = result
     return result
 
 
-def _shortest_window(u: np.ndarray, mass: np.ndarray, total: float, s: float) -> tuple[float, float]:
-    """Kernel: leftmost shortest window [u_i, u_j] with outside mass < s * total.
+def _shorth_rows(values: np.ndarray, weights: np.ndarray, rows, s: float):
+    """Kernel: median oscillation, its center and the measure of many sets.
 
-    ``u`` holds the sorted distinct values and ``mass`` their summed
-    weights.  A window passes when total - mu[u_i, u_j] < s * total, the
-    strict-tail test of ``weighted_maximal_median``.  The first passing
-    right end never moves left as the left end advances, so two pointers
-    visit each value once.  Returns (value, c) with c the window midpoint.
+    ``rows`` lists the point indices of each set.  Returns three float
+    arrays (osc, c, mu) in row order, each entry equal to what the one-set
+    computation gives: the leftmost shortest window [u_i, u_j] of sorted
+    distinct values whose outside mass passes total - mu[u_i, u_j] <
+    s * total, with c its midpoint; (0, u) for a single value; the
+    half-range at the midrange when s * total <= min weight.
     """
-    vals = u.tolist()
-    cum = np.cumsum(mass).tolist()
-    thr = s * total
-    best = (math.inf, 0.0)
-    below = 0.0
-    j = 0
-    for i, lo in enumerate(vals):
-        while j < len(vals) and not total - (cum[j] - below) < thr:
-            j += 1
-        if j == len(vals):
-            break
-        mid = (lo + vals[j]) / 2.0
-        width = max(abs(lo - mid), abs(vals[j] - mid))
-        if width < best[0]:  # strict: the leftmost window wins ties
-            best = (width, mid)
-        below = cum[i]
-    return best
+    sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    m = len(rows)
+    osc, c, mu = np.empty(m), np.empty(m), np.empty(m)
+    # Blocks of rows by increasing size keep the padding small and every
+    # block's (rows x width) temporaries under _BLOCK_ELEMS.
+    by_size = np.argsort(sizes, kind="stable")
+    ordered = sizes[by_size]
+    a = 0
+    while a < m:
+        b = m
+        while b - a > 1 and (b - a) * ordered[b - 1] > _BLOCK_ELEMS:
+            b = a + max(1, _BLOCK_ELEMS // int(ordered[b - 1]))
+        sel = by_size[a:b]
+        block = [rows[j] for j in sel.tolist()]
+        osc[sel], c[sel], mu[sel] = _shorth_block(values, weights, block, ordered[a:b], s)
+        a = b
+    return osc, c, mu
+
+
+def _shorth_block(values, weights, block, sizes, s):
+    """``_shorth_rows`` on rows sorted by size, padded to the largest."""
+    r, k = len(sizes), int(sizes[-1])
+    rows = np.arange(r)
+    col = np.arange(k)
+    base = (rows * k)[:, None]  # flat offset of each row
+    pad = col >= sizes[:, None]
+    pts = np.zeros((r, k), dtype=np.intp)
+    pts[~pad] = np.fromiter(chain.from_iterable(block), dtype=np.intp, count=int(sizes.sum()))
+
+    # mu(B) and the lightest weight, one C-contiguous array per ball size:
+    # its row sums are the same pairwise sums as weights[idx].sum().
+    mu, w_min = np.empty(r), np.empty(r)
+    cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), r]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        part = weights[pts[lo:hi, : sizes[lo]]]
+        mu[lo:hi] = part.sum(axis=1)
+        w_min[lo:hi] = part.min(axis=1)
+
+    # Stable sort per row: padding (+inf, weight 0) goes last, and equal
+    # values keep index order, so bincount sums each value's mass in the
+    # same order as the one-set computation.
+    v = np.where(pad, np.inf, values[pts])
+    order = np.argsort(v, axis=1, kind="stable") + base
+    sv = v.ravel()[order]
+    sw = np.where(pad, 0.0, weights[pts]).ravel()[order]
+    del v, order, pts
+    step = sv[:, 1:] != sv[:, :-1]
+    group = np.zeros((r, k), dtype=np.intp)
+    np.cumsum(step, axis=1, out=group[:, 1:])
+    n_distinct = group[rows, sizes - 1] + 1
+    mass = np.bincount((group + base).ravel(), weights=sw.ravel(), minlength=r * k)
+    cum = np.cumsum(mass.reshape(r, k), axis=1)
+    below = np.zeros((r, k))
+    below[:, 1:] = cum[:, :-1]
+    # Distinct values left-aligned; the tail repeats the row minimum so the
+    # window arithmetic below stays finite there.
+    u = np.repeat(sv[:, :1], k, axis=1)
+    first = np.ones((r, k), dtype=bool)
+    first[:, 1:] = step
+    first &= ~pad
+    fr, fc = np.nonzero(first)
+    u[fr, group[fr, fc]] = sv[fr, fc]
+    del sv, sw, step, group, mass, first, fr, fc  # bounds the block's peak
+
+    # First passing right end of every left end i, by bisection over
+    # [i, n_distinct): the strict-tail test is monotone in j.
+    total = mu[:, None]
+    thr = (s * mu)[:, None]
+    lo = np.broadcast_to(col, (r, k)).copy()
+    hi = np.broadcast_to(n_distinct[:, None], (r, k)).copy()
+    for _ in range(k.bit_length()):
+        mid = (lo + hi) >> 1
+        ok = total - (cum.ravel()[np.minimum(mid, k - 1) + base] - below) < thr
+        active = lo < hi
+        np.copyto(hi, mid, where=active & ok)
+        np.copyto(lo, mid + 1, where=active & ~ok)
+    valid = lo < n_distinct[:, None]  # lo starts at i, so this also needs i < n_distinct
+    top = u.ravel()[np.minimum(lo, k - 1) + base]
+    mid_v = (u + top) / 2.0
+    width = np.where(valid, np.maximum(np.abs(u - mid_v), np.abs(top - mid_v)), np.inf)
+    best = width.argmin(axis=1)  # the leftmost shortest window
+    osc = width[rows, best]
+    c = mid_v[rows, best]
+
+    low, high = u[:, 0], u[rows, n_distinct - 1]
+    # Below the lightest atom the s-median of |f - c| is its maximum for
+    # every c, so the infimum is the half-range at the midrange point.
+    light = s * mu <= w_min
+    osc = np.where(light, (high - low) / 2.0, osc)
+    c = np.where(light, (low + high) / 2.0, c)
+    single = n_distinct == 1
+    osc = np.where(single, 0.0, osc)
+    c = np.where(single, low, c)
+    return osc, c, mu

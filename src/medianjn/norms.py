@@ -38,7 +38,7 @@ from .errors import (
 from .median import (
     SampleFunction,
     _as_values,
-    median_oscillation,
+    _shorth_rows,
     weighted_maximal_median,
 )
 from .space import Ball, Space, _resolve_region, canonical_balls
@@ -178,15 +178,30 @@ def integral_oscillation(space: Space, f, subset, q: float) -> tuple[float, floa
     return (float(best_val), float(best_c))
 
 
+def _family_oscillations(space: Space, f, idx: tuple[int, ...], s: float):
+    """Canonical balls inside a region with their median oscillations and measures.
+
+    One kernel call per (region, s); a SampleFunction keeps the result.
+    """
+    balls = canonical_balls(space, idx)
+    key = ("osc_family", idx, float(s))
+    if isinstance(f, SampleFunction):
+        hit = f._cache.get(key)
+        if hit is not None:
+            return balls, hit
+    osc, _, mu = _shorth_rows(_as_values(space, f), space.weights, [b.idx for b in balls], s)
+    hit = (osc.tolist(), mu.tolist())
+    if isinstance(f, SampleFunction):
+        f._cache[key] = hit
+    return balls, hit
+
+
 def bmo_median_norm(space: Space, f, region, s: float) -> float:
     """Largest median oscillation over canonical balls inside the region."""
     if not (0.0 < s <= 0.5):
         raise InvalidS(f"s must lie in (0, 1/2], got {s}")
-    idx = _region_idx(space, region)
-    best = 0.0
-    for ball in canonical_balls(space, idx):
-        best = max(best, median_oscillation(space, f, ball, s)[0])
-    return best
+    _, (oscs, _) = _family_oscillations(space, f, _region_idx(space, region), s)
+    return max(oscs, default=0.0)
 
 
 # ---------------------------------------------------------------- packing
@@ -287,14 +302,7 @@ def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
     return best_total, [order[j] for j in best_choice]
 
 
-def _jn_norm(space, region, p, per_ball, mode, force):
-    idx = _region_idx(space, region)
-    balls = canonical_balls(space, idx)
-    oscs, terms = [], []
-    for ball in balls:
-        osc, term = per_ball(ball)
-        oscs.append(osc)
-        terms.append(term)
+def _jn_norm(space, balls, oscs, terms, p, mode, force):
     total, chosen = _packed_sup(space, balls, terms, mode, force)
     chosen = sorted(chosen, key=lambda j: (space.index(balls[j].center), balls[j].radius))
     packing = BallPacking(
@@ -311,6 +319,12 @@ def _jn_norm(space, region, p, per_ball, mode, force):
     )
 
 
+def _per_ball_norm(space, region, p, per_ball, mode, force):
+    balls = canonical_balls(space, _region_idx(space, region))
+    oscs, terms = zip(*map(per_ball, balls))
+    return _jn_norm(space, balls, oscs, terms, p, mode, force)
+
+
 def jn_median_norm(
     space: Space, f, region, p: float, s: float, mode: str = "exact", force: bool = False
 ) -> JNResult:
@@ -323,11 +337,10 @@ def jn_median_norm(
     if not (0.0 < s <= 0.5):
         raise InvalidS(f"s must lie in (0, 1/2], got {s}")
 
-    def per_ball(ball):
-        osc, _ = median_oscillation(space, f, ball, s)
-        return osc, space.mu(ball.idx) * osc**p
-
-    return _jn_norm(space, region, p, per_ball, mode, force)
+    balls, (oscs, mus) = _family_oscillations(space, f, _region_idx(space, region), s)
+    # Python floats: numpy's vectorised power can differ from ** in the last bit.
+    terms = [mu * osc**p for mu, osc in zip(mus, oscs)]
+    return _jn_norm(space, balls, oscs, terms, p, mode, force)
 
 
 def jn_centered_sup(
@@ -356,7 +369,7 @@ def jn_centered_sup(
         osc = weighted_maximal_median(np.abs(vals[idx] - center), w, s)
         return osc, space.mu(ball.idx) * osc**p
 
-    return _jn_norm(space, region, p, per_ball, mode, force)
+    return _per_ball_norm(space, region, p, per_ball, mode, force)
 
 
 def jn_integral_norm(
@@ -380,7 +393,7 @@ def jn_integral_norm(
         osc, _ = _cached_integral_osc(space, f, ball, q)
         return osc, space.mu(ball.idx) * osc ** (p / q)
 
-    return _jn_norm(space, region, p, per_ball, mode, force)
+    return _per_ball_norm(space, region, p, per_ball, mode, force)
 
 
 def _cached_integral_osc(space, f, ball, q):

@@ -12,6 +12,13 @@ consecutive distance values.  ``canonical_balls`` enumerates one ball per
 distinct member set, using the upper endpoint of that interval as the
 representative radius; this makes dilation maximal, which is the
 conservative choice when estimating doubling constants.
+
+Every ball around a center is a prefix of that center's points in stable
+distance order, ending where the distance changes.  ``canonical_balls``
+and the CZ family (``czd.cz_family``) both come from this table: each
+prefix's member row is packed into 64-bit words by a running OR along
+the order, duplicate member sets are found by sorting the packed rows,
+and ``Ball`` objects are built only for the survivors.
 """
 
 from __future__ import annotations
@@ -43,6 +50,9 @@ SINGLETON_SPACE_RADIUS = 1.0
 # Lower clamp for the doubling constant: the theory needs c_mu > 1, and a
 # one-point space would otherwise produce c_mu = 1 and dimension 0.
 MIN_DOUBLING = 1.0 + 2.0**-20
+
+# Unpacked member-row elements per block when ball fields are built.
+_UNPACK_ELEMS = 1 << 16
 
 _CACHE_ATTR = "_medianjn_cache"
 
@@ -130,17 +140,21 @@ class DoublingProfile:
     worst_ratio: float
 
 
-def _make_ball(space: Space, center_idx: int, radius: float) -> Ball:
-    inside = space.dist[center_idx] < radius
-    sel = np.flatnonzero(inside)
+def _point_ids(space: Space) -> np.ndarray:
     cache = space._cache()
     ids = cache.get("ids")
     if ids is None:
         ids = cache["ids"] = np.array(space.point_ids, dtype=object)
+    return ids
+
+
+def _make_ball(space: Space, center_idx: int, radius: float) -> Ball:
+    inside = space.dist[center_idx] < radius
+    sel = np.flatnonzero(inside)
     return Ball(
         center=space.point_ids[center_idx],
         radius=float(radius),
-        members=tuple(ids[sel].tolist()),
+        members=tuple(_point_ids(space)[sel].tolist()),
         idx=tuple(sel.tolist()),
         mask=int.from_bytes(np.packbits(inside, bitorder="little").tobytes(), "little"),
     )
@@ -243,26 +257,6 @@ def center_radii(space: Space, center_idx: int) -> np.ndarray:
     return np.concatenate([ds[1:], [ds[-1] * FULL_BALL_BUMP]])
 
 
-def center_balls(space: Space, center_idx: int, budget: float | None = None) -> list[Ball]:
-    """Canonical balls around one center, optionally capped at ``budget``.
-
-    With a budget, each constancy interval that starts below the budget is
-    represented by min(upper endpoint, budget), so the family saturates the
-    radius cap exactly like the set of all balls of radius <= budget does.
-    """
-    ds = np.unique(space.dist[center_idx])
-    if budget is None:
-        return [_make_ball(space, center_idx, r) for r in center_radii(space, center_idx)]
-    radii = []
-    breaks = ds[1:]
-    for k, upper in enumerate(breaks):
-        if ds[k] < budget:
-            radii.append(min(float(upper), budget))
-    if budget > ds[-1]:
-        radii.append(float(budget))
-    return [_make_ball(space, center_idx, r) for r in radii]
-
-
 def _resolve_region(space: Space, region) -> tuple[int, ...]:
     """Sorted distinct indices of a region: None, a Ball, point ids or indices.
 
@@ -282,19 +276,93 @@ def _resolve_region(space: Space, region) -> tuple[int, ...]:
     return tuple(sorted(idx))
 
 
-def _distinct_balls(pairs, rank) -> tuple[Ball, ...]:
-    """One ball per member set from (center index, ball) pairs.
+def _prefix_balls(space: Space, centers, budget=None, inside=None) -> tuple[Ball, ...]:
+    """One ball per distinct member set among the prefix balls of ``centers``.
 
-    Among balls with the same member set the smallest ``rank(center index,
-    ball)`` wins; the survivors are ordered by center index, then radius.
+    Around each center, in the stable order of its distance row, the ball
+    ending at the k-th distinct distance d_k is the prefix {d <= d_k}.
+    Without a budget its radius is d_{k+1} (the full ball gets
+    d_max * FULL_BALL_BUMP); with one, only prefixes with d_k < budget
+    count, at radius min(d_{k+1}, budget).  ``inside``, a boolean point
+    mask, keeps the prefixes it contains.  Duplicate member sets keep the
+    smallest center without a budget, and the largest radius, then the
+    smallest center, with one.  Survivors come in (center, radius) order.
     """
-    best: dict[tuple[int, ...], tuple] = {}
-    for ci, ball in pairs:
-        key = rank(ci, ball)
-        prev = best.get(ball.idx)
-        if prev is None or key < prev[0]:
-            best[ball.idx] = (key, ci, ball)
-    return tuple(entry[2] for entry in sorted(best.values(), key=lambda e: (e[1], e[2].radius)))
+    n = space.n
+    n_words = -(-n // 64)
+    one = np.uint64(1)
+    pair_center, pair_radius, pair_size, pair_words = [], [], [], []
+    for c in centers:
+        row = space.dist[c]
+        order = np.argsort(row, kind="stable")
+        sd = row[order]
+        last = np.flatnonzero(np.append(sd[1:] != sd[:-1], True))
+        ds = sd[last]
+        if budget is None:
+            if len(ds) == 1:
+                radii = np.array([SINGLETON_SPACE_RADIUS])
+            else:
+                radii = np.append(ds[1:], ds[-1] * FULL_BALL_BUMP)
+            keep = np.ones(len(ds), dtype=bool)
+        else:
+            radii = np.minimum(np.append(ds[1:], np.inf), budget)
+            keep = ds < budget
+        if inside is not None:
+            out = np.flatnonzero(~inside[order])
+            if len(out):
+                keep &= last < out[0]
+        # Row t holds the first t + 1 points of the order as packed bits.
+        bits = np.zeros((n, n_words), dtype="<u8")
+        bits[np.arange(n), order >> 6] = one << (order & 63).astype(np.uint64)
+        np.bitwise_or.accumulate(bits, axis=0, out=bits)
+        ends = last[keep]
+        pair_center.append(np.full(len(ends), c))
+        pair_radius.append(radii[keep])
+        pair_size.append(ends + 1)
+        pair_words.append(bits[ends])
+    words = np.concatenate(pair_words)
+    radius = np.concatenate(pair_radius)
+    # Sort by member set, then by preference; lexsort is stable, so equal
+    # keys stay in (center, radius) order and the first of each run wins.
+    keys = [words[:, w] for w in range(n_words - 1, -1, -1)]
+    if budget is not None:
+        keys.insert(0, -radius)
+    perm = np.lexsort(keys)
+    runs = words[perm]
+    first = np.ones(len(perm), dtype=bool)
+    first[1:] = (runs[1:] != runs[:-1]).any(axis=1)
+    keep = np.sort(perm[first])
+    centers_kept = np.concatenate(pair_center)[keep].tolist()
+    radii_kept = radius[keep].tolist()
+    sizes = np.concatenate(pair_size)[keep]
+    words = words[keep]
+    # The pair tables go before the balls, which hold most of the memory.
+    del pair_words, runs, keys
+
+    ids = _point_ids(space)
+    pids = space.point_ids
+    row_bytes = 8 * n_words
+    step = max(1, _UNPACK_ELEMS // n)
+    balls = []
+    for a in range(0, len(keep), step):
+        block = words[a : a + step]
+        cols = np.nonzero(np.unpackbits(block.view(np.uint8), axis=1, count=n, bitorder="little"))[1]
+        idx_list = cols.tolist()
+        id_list = ids[cols].tolist()
+        raw = block.tobytes()
+        lo = 0
+        for t, hi in enumerate(np.cumsum(sizes[a : a + step]).tolist()):
+            balls.append(
+                Ball(
+                    center=pids[centers_kept[a + t]],
+                    radius=radii_kept[a + t],
+                    members=tuple(id_list[lo:hi]),
+                    idx=tuple(idx_list[lo:hi]),
+                    mask=int.from_bytes(raw[t * row_bytes : (t + 1) * row_bytes], "little"),
+                )
+            )
+            lo = hi
+    return tuple(balls)
 
 
 def canonical_balls(space: Space, region=None) -> tuple[Ball, ...]:
@@ -311,18 +379,11 @@ def canonical_balls(space: Space, region=None) -> tuple[Ball, ...]:
     cache = space._cache()
     if key in cache:
         return cache[key]
-    outside = (1 << space.n) - 1
-    for i in region_idx:
-        outside ^= 1 << i
-    balls = _distinct_balls(
-        (
-            (ci, ball)
-            for ci in region_idx
-            for ball in center_balls(space, ci)
-            if not ball.mask & outside
-        ),
-        lambda ci, ball: (ci, -ball.radius),
-    )
+    inside = None
+    if len(region_idx) < space.n:
+        inside = np.zeros(space.n, dtype=bool)
+        inside[list(region_idx)] = True
+    balls = _prefix_balls(space, region_idx, inside=inside)
     cache[key] = balls
     return balls
 

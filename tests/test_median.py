@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import medianjn as mj
 from medianjn.errors import EmptySet, InvalidS
+from medianjn.median import _shorth_rows
 
 from util import fn, line_space, random_space, two_point_space
 
@@ -206,6 +209,111 @@ def test_oscillation_shorth_closed_form():
         dist=np.broadcast_to(1.0, (n, n)),
     )
     assert mj.median_oscillation(sp, np.arange(n, dtype=float), None, 0.5) == (1024.0, 1024.0)
+
+
+def _old_shortest_window(u, mass, total, s):
+    """The former two-pointer scan over sorted distinct values."""
+    vals = u.tolist()
+    cum = np.cumsum(mass).tolist()
+    thr = s * total
+    best = (math.inf, 0.0)
+    below = 0.0
+    j = 0
+    for i, lo in enumerate(vals):
+        while j < len(vals) and not total - (cum[j] - below) < thr:
+            j += 1
+        if j == len(vals):
+            break
+        mid = (lo + vals[j]) / 2.0
+        width = max(abs(lo - mid), abs(vals[j] - mid))
+        if width < best[0]:
+            best = (width, mid)
+        below = cum[i]
+    return best
+
+
+def _old_oscillation(values, weights, idx, s):
+    """The former per-ball path: np.unique, bincount and the light-atom shortcut."""
+    vals, w = values[list(idx)], weights[list(idx)]
+    u, inverse = np.unique(vals, return_inverse=True)
+    if len(u) == 1:
+        return (0.0, float(u[0]))
+    if s * w.sum() <= w.min():
+        return (float((u[-1] - u[0]) / 2.0), float((u[0] + u[-1]) / 2.0))
+    return _old_shortest_window(u, np.bincount(inverse, weights=w), float(w.sum()), s)
+
+
+def test_batched_kernel_matches_per_ball_path():
+    # Per ball: osc, mu(B) and mu * osc**p as float hex, c under == (the
+    # sign of a zero c followed numpy's unstable sort before; now it is the
+    # sign of the lowest-index member).  Families: canonical balls of random
+    # spaces and random rows of sizes around the pairwise-sum block edges 8
+    # and 128; values with ties (integers, tenths, thirds), with both signed
+    # zeros, and constant rows; s = 1 and s below the lightest atom.
+    rng = np.random.default_rng(43)
+    checked = 0
+    for trial in range(180):
+        kind = trial % 6
+        weights = [
+            rng.uniform(0.2, 2.0, size=260),
+            rng.integers(1, 10, size=260) / 10.0,
+            np.ones(260),
+            rng.integers(1, 4, size=260) / 3.0,
+        ][trial % 4]
+        if trial % 3 == 0:
+            sp = random_space(rng, max_n=16, dim=1 + trial % 2)
+            n = sp.n
+            rows = [b.idx for b in mj.canonical_balls(sp)]
+            weights = sp.weights
+        elif trial % 3 == 1:
+            n = int(rng.integers(130, 260))
+            sizes = rng.choice([1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 130, n], size=40)
+            rows = [tuple(sorted(rng.choice(n, size=int(k), replace=False).tolist())) for k in sizes]
+        else:
+            # Small tie-heavy rows, where the order in which equal values'
+            # weights are summed can decide a window at the threshold.
+            n = 40
+            rows = [tuple(sorted(rng.choice(n, size=int(rng.integers(2, 30)), replace=False).tolist()))
+                    for _ in range(200)]
+            weights = [rng.integers(1, 10, size=n) / 10.0, rng.integers(1, 4, size=n) / 3.0][trial % 2]
+            kind = 1
+        values = [
+            rng.normal(size=n),
+            rng.integers(0, 4, size=n).astype(float),
+            np.round(rng.normal(size=n), 1),
+            np.round(rng.uniform(-3.0, 3.0, size=n) * 3.0) / 3.0,
+            np.where(rng.random(n) < 0.4, np.where(rng.random(n) < 0.5, -0.0, 0.0),
+                     rng.integers(-1, 2, size=n).astype(float)),
+            np.full(n, float(rng.normal())),
+        ][kind]
+        s = float(rng.choice([1.0, 0.5, 0.3, 0.25, 0.2, 0.1, 1e-3, rng.uniform(0.01, 1.0)]))
+        p = float(rng.choice([1.5, 2.0, 3.0]))
+        osc, c, mu = _shorth_rows(values, weights, rows, s)
+        for b, idx in enumerate(rows):
+            old_osc, old_c = _old_oscillation(values, weights, idx, s)
+            old_mu = float(weights[list(idx)].sum())
+            assert float(osc[b]).hex() == old_osc.hex(), (trial, b)
+            assert float(c[b]) == old_c, (trial, b)
+            assert float(mu[b]).hex() == old_mu.hex(), (trial, b)
+            term = float(mu[b]) * float(osc[b]) ** p
+            assert term.hex() == (old_mu * old_osc**p).hex(), (trial, b)
+            checked += 1
+    assert checked > 15000
+
+
+def test_non_finite_raw_values_rejected():
+    g = mj.grid_space(1, 5)
+    for bad in (np.nan, np.inf, -np.inf):
+        f = np.array([1.0, bad, 2.0, 3.0, 0.0])
+        calls = [
+            lambda: mj.maximal_median(g, f, None, 0.5),
+            lambda: mj.median_oscillation(g, f, None, 0.25),
+            lambda: mj.bmo_median_norm(g, f, None, 0.25),
+            lambda: mj.jn_median_norm(g, f, None, 2.0, 0.25),
+        ]
+        for call in calls:
+            with pytest.raises(mj.errors.InvalidParameter, match="must be finite"):
+                call()
 
 
 def test_function_loading():

@@ -14,6 +14,8 @@ from medianjn.errors import (
     UnknownCenter,
 )
 
+from medianjn.space import _make_ball, center_radii
+
 from util import line_space, random_space, two_point_space
 
 
@@ -183,6 +185,77 @@ def test_ball_fields_past_one_word():
     for b in balls:
         assert b.mask == sum(1 << i for i in b.idx)
         assert b.members == tuple(sp.point_ids[i] for i in b.idx)
+
+
+def _old_center_balls(space, center_idx, budget=None):
+    """The former per-center radius loop, one ``_make_ball`` call per radius."""
+    ds = np.unique(space.dist[center_idx])
+    if budget is None:
+        return [_make_ball(space, center_idx, r) for r in center_radii(space, center_idx)]
+    radii = [min(float(upper), budget) for k, upper in enumerate(ds[1:]) if ds[k] < budget]
+    if budget > ds[-1]:
+        radii.append(float(budget))
+    return [_make_ball(space, center_idx, r) for r in radii]
+
+
+def _old_distinct_balls(pairs, rank):
+    """The former dedup dict over (center index, ball) pairs."""
+    best = {}
+    for ci, ball in pairs:
+        key = rank(ci, ball)
+        prev = best.get(ball.idx)
+        if prev is None or key < prev[0]:
+            best[ball.idx] = (key, ci, ball)
+    return tuple(e[2] for e in sorted(best.values(), key=lambda e: (e[1], e[2].radius)))
+
+
+def _old_canonical_balls(space, region_idx):
+    outside = (1 << space.n) - 1
+    for i in region_idx:
+        outside ^= 1 << i
+    return _old_distinct_balls(
+        ((ci, b) for ci in region_idx for b in _old_center_balls(space, ci) if not b.mask & outside),
+        lambda ci, b: (ci, -b.radius),
+    )
+
+
+def _old_cz_family(space, b0, eta):
+    budget = eta * b0.radius
+    return _old_distinct_balls(
+        ((ci, b) for ci in b0.idx for b in _old_center_balls(space, ci, budget=budget)),
+        lambda ci, b: (-b.radius, ci),
+    )
+
+
+def _fields(balls):
+    return [(b.center, b.radius.hex(), b.members, b.idx, b.mask) for b in balls]
+
+
+def test_prefix_enumeration_matches_per_center_loop():
+    # Field for field, radii as float hex, against the former per-center
+    # radius loop and dedup dict, on random spaces, the 64-point line at
+    # spacing 1/64, the 8x8 grid, the depth-6 cluster space and spaces of
+    # 65-71 points, whose member rows need a second 64-bit word.
+    rng = np.random.default_rng(15)
+    spaces = [mj.build_space(["a"], [1.0], coords=[[0.0]])]
+    spaces += [random_space(rng, max_n=14, dim=1 + k % 2) for k in range(30)]
+    spaces += [mj.grid_space(1, 64, spacing=1.0 / 64), mj.grid_space(2, 8), mj.cluster_space(6)]
+    spaces += [random_space(rng, min_n=n, max_n=n, dim=1 + n % 2) for n in (65, 68, 71)]
+    for sp in spaces:
+        everything = tuple(range(sp.n))
+        assert _fields(mj.canonical_balls(sp)) == _fields(_old_canonical_balls(sp, everything))
+        for _ in range(3):
+            region = sorted(rng.choice(sp.n, size=int(rng.integers(1, sp.n + 1)), replace=False))
+            region = tuple(int(i) for i in region)
+            assert _fields(mj.canonical_balls(sp, list(region))) == _fields(
+                _old_canonical_balls(sp, region)
+            )
+        for _ in range(3):
+            center = sp.point_ids[int(rng.integers(0, sp.n))]
+            radius = float(rng.choice(sp.dist[sp.index(center)])) * float(rng.uniform(0.5, 1.5))
+            b0 = mj.ball_at(sp, center, max(radius, 1e-3))
+            for eta in (0.05, 0.5, 3.0, 1e5):
+                assert _fields(mj.cz_family(sp, b0, eta)) == _fields(_old_cz_family(sp, b0, eta))
 
 
 def test_space_json_roundtrip():
