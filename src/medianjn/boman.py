@@ -138,6 +138,7 @@ def verify_boman(space: Space, dec: BomanDecomposition) -> BomanCertificate:
 
     c1_dilates = [dilate(space, b, dec.c1) for b in dec.balls]
     c2_dilates = [dilate(space, b, dec.c2) for b in dec.balls]
+    rho_dilates = [dilate(space, b, dec.rho) for b in dec.balls]
     u1 = set().union(*(d.idx for d in c1_dilates))
     u2 = set().union(*(d.idx for d in c2_dilates))
     ok = u1 == region and u2 == region
@@ -199,8 +200,7 @@ def verify_boman(space: Space, dec: BomanDecomposition) -> BomanCertificate:
     ok, witness = True, ""
     for bi in range(len(dec.balls)):
         for v in dec.chains.get(bi) or ():
-            blown = dilate(space, dec.balls[v], dec.rho)
-            if dec.balls[bi].mask & blown.mask != dec.balls[bi].mask:
+            if dec.balls[bi].mask & rho_dilates[v].mask != dec.balls[bi].mask:
                 ok, witness = False, f"ball {bi} escapes rho * ball {v}"
                 break
         if not ok:

@@ -19,6 +19,17 @@ test is one AND over the remaining rows per search node.
 
 Greedy mode repeatedly takes the heaviest compatible ball and is a lower
 bound, flagged as such in results.
+
+For q <= 1 the integral oscillation of a whole ball family comes from one
+kernel call, ``_integral_rows``.  A sample value minimizes the objective,
+so each ball scores every one of its values, stably sorted, in one array
+operation, and the first minimum wins: the smallest minimizing c, whose
+sign, when it is zero, is that of the lowest-index member holding it.
+Every objective, measure and total is a row sum over a C-contiguous last
+axis, the same pairwise sum as the one-ball ``.sum()``, so the values
+keep their bits.  ``jn_integral_norm`` makes one such call per
+(region, q) and a SampleFunction keeps the result; norm terms
+mu * osc**(p/q) are formed from Python floats.
 """
 
 from __future__ import annotations
@@ -44,6 +55,10 @@ from .median import (
 from .space import Ball, Space, _resolve_region, canonical_balls
 
 EXACT_MODE_LIMIT = 32
+
+# Elements of the (rows x candidates x size) objective array per block of
+# the q <= 1 integral-oscillation kernel.
+_INTEGRAL_BLOCK_ELEMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -145,19 +160,24 @@ def integral_oscillation(space: Space, f, subset, q: float) -> tuple[float, floa
     """inf over c of the weighted mean of |f - c|^q on the subset.
 
     For q <= 1 the objective is concave (q < 1) or linear (q = 1) between
-    consecutive sample values, so a sample value attains the infimum and
-    the distinct sample values are the only candidates.  For q > 1 it is
-    convex: a golden-section search bracketed by [min f, max f] joins the
-    sample values and the weighted mean as candidates.  Returns the least
-    value and, among the candidates attaining it, the smallest c.
+    consecutive sample values, so a sample value attains the infimum: this
+    is a one-set call of the family kernel ``_integral_rows``, and c is the
+    smallest minimizing sample value, a zero c taking the sign of the
+    lowest-index member that holds it.  For q > 1 the objective is convex:
+    a golden-section search bracketed by [min f, max f] joins the sample
+    values and the weighted mean as candidates.  Returns the least value
+    and, among the candidates attaining it, the smallest c.
     """
     if not q > 0.0:
         raise NonPositiveQ(f"q must be positive, got {q}")
-    idx = list(_resolve_region(space, subset))
+    idx = _resolve_region(space, subset)
     if len(idx) == 0:
         raise EmptySet("oscillation over an empty set")
-    vals = _as_values(space, f)[idx]
-    w = space.weights[idx]
+    if q <= 1.0:
+        osc, c, _ = _integral_rows(_as_values(space, f), space.weights, [idx], q)
+        return (float(osc[0]), float(c[0]))
+    vals = _as_values(space, f)[list(idx)]
+    w = space.weights[list(idx)]
     wn = w / w.sum()
     lo, hi = float(vals.min()), float(vals.max())
     if lo == hi:
@@ -166,10 +186,7 @@ def integral_oscillation(space: Space, f, subset, q: float) -> tuple[float, floa
     def objective(c):
         return float((wn * np.abs(vals - c) ** q).sum())
 
-    cands = list(np.unique(vals))
-    if q > 1.0:
-        cands.append(float((wn * vals).sum()))
-        cands.append(_golden_min(objective, lo, hi))
+    cands = [*np.unique(vals), float((wn * vals).sum()), _golden_min(objective, lo, hi)]
     best_val, best_c = np.inf, None
     for c in sorted(cands):
         val = objective(c)
@@ -178,22 +195,91 @@ def integral_oscillation(space: Space, f, subset, q: float) -> tuple[float, floa
     return (float(best_val), float(best_c))
 
 
-def _family_oscillations(space: Space, f, idx: tuple[int, ...], s: float):
-    """Canonical balls inside a region with their median oscillations and measures.
+def _integral_rows(values: np.ndarray, weights: np.ndarray, rows, q: float):
+    """Kernel: q <= 1 integral oscillation, its center and the measure of many sets.
 
-    One kernel call per (region, s); a SampleFunction keeps the result.
+    ``rows`` lists the point indices of each set.  Returns three float
+    arrays (osc, c, mu) in row order.  Per set, the objective
+    sum(wn * |v - c|^q) is evaluated at every sample value c in stable
+    sorted order, and the first minimum wins: the least value at the
+    smallest minimizing c, (0, v) for a constant set.  Sets of one size k
+    go in blocks whose (rows x k x k) objective array stays under
+    ``_INTEGRAL_BLOCK_ELEMS`` (candidates are split for larger k).  Each
+    objective is a row sum over a C-contiguous last axis, the same
+    pairwise sum as the 1-D ``.sum()`` of one set, and so are mu and the
+    normalizing total.
+    """
+    m = len(rows)
+    sizes = np.fromiter(map(len, rows), dtype=np.intp, count=m)
+    osc, c, mu = np.empty(m), np.empty(m), np.empty(m)
+    by_size = np.argsort(sizes, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(sizes[by_size])) + 1).tolist(), m]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        k = int(sizes[by_size[lo]])
+        step = max(1, _INTEGRAL_BLOCK_ELEMS // (k * k))
+        for a in range(lo, hi, step):
+            sel = by_size[a : min(a + step, hi)]
+            pts = np.array([rows[j] for j in sel.tolist()], dtype=np.intp).reshape(len(sel), k)
+            v, w = values[pts], weights[pts]
+            mu[sel] = w.sum(axis=1)
+            wn = w / mu[sel, None]
+            cands = np.sort(v, axis=1, kind="stable")
+            obj = np.empty((len(sel), k))
+            per = max(1, _INTEGRAL_BLOCK_ELEMS // (len(sel) * k))
+            for b in range(0, k, per):
+                dev = np.abs(v[:, None, :] - cands[:, b : b + per, None]) ** q
+                obj[:, b : b + per] = (wn[:, None, :] * dev).sum(axis=2)
+            best = obj.argmin(axis=1)
+            osc[sel] = obj[np.arange(len(sel)), best]
+            c[sel] = cands[np.arange(len(sel)), best]
+    return osc, c, mu
+
+
+def _cached_family(space: Space, f, idx: tuple[int, ...], key: tuple, compute):
+    """Canonical balls inside a region and ``compute(balls)``.
+
+    One call per (region, key); a SampleFunction keeps the result.
     """
     balls = canonical_balls(space, idx)
-    key = ("osc_family", idx, float(s))
+    key = (*key, idx)
     if isinstance(f, SampleFunction):
         hit = f._cache.get(key)
         if hit is not None:
             return balls, hit
-    osc, _, mu = _shorth_rows(_as_values(space, f), space.weights, [b.idx for b in balls], s)
-    hit = (osc.tolist(), mu.tolist())
+    hit = compute(balls)
     if isinstance(f, SampleFunction):
         f._cache[key] = hit
     return balls, hit
+
+
+def _family_oscillations(space: Space, f, idx: tuple[int, ...], s: float):
+    """Canonical balls inside a region with their median oscillations and measures."""
+
+    def compute(balls):
+        osc, _, mu = _shorth_rows(_as_values(space, f), space.weights, [b.idx for b in balls], s)
+        return osc.tolist(), mu.tolist()
+
+    return _cached_family(space, f, idx, ("osc_family", float(s)), compute)
+
+
+def _family_integral_oscillations(space: Space, f, idx: tuple[int, ...], q: float):
+    """Canonical balls inside a region with their integral oscillations and measures.
+
+    For q <= 1 one kernel call covers the family; q > 1 runs per ball.
+    """
+
+    def compute(balls):
+        if q <= 1.0:
+            osc, _, mu = _integral_rows(
+                _as_values(space, f), space.weights, [b.idx for b in balls], q
+            )
+            return osc.tolist(), mu.tolist()
+        return (
+            [integral_oscillation(space, f, b, q)[0] for b in balls],
+            [space.mu(b.idx) for b in balls],
+        )
+
+    return _cached_family(space, f, idx, ("iosc_family", float(q)), compute)
 
 
 def bmo_median_norm(space: Space, f, region, s: float) -> float:
@@ -389,19 +475,7 @@ def jn_integral_norm(
     if not q < p:
         raise InvalidParameter(f"q must be below p, got q={q}, p={p}")
 
-    def per_ball(ball):
-        osc, _ = _cached_integral_osc(space, f, ball, q)
-        return osc, space.mu(ball.idx) * osc ** (p / q)
-
-    return _per_ball_norm(space, region, p, per_ball, mode, force)
-
-
-def _cached_integral_osc(space, f, ball, q):
-    if isinstance(f, SampleFunction):
-        key = ("iosc", ball.idx, q)
-        hit = f._cache.get(key)
-        if hit is None:
-            hit = integral_oscillation(space, f, ball, q)
-            f._cache[key] = hit
-        return hit
-    return integral_oscillation(space, f, ball, q)
+    balls, (oscs, mus) = _family_integral_oscillations(space, f, _region_idx(space, region), q)
+    # Python floats: numpy's vectorised power can differ from ** in the last bit.
+    terms = [mu * osc ** (p / q) for mu, osc in zip(mus, oscs)]
+    return _jn_norm(space, balls, oscs, terms, p, mode, force)

@@ -14,11 +14,24 @@ representative radius; this makes dilation maximal, which is the
 conservative choice when estimating doubling constants.
 
 Every ball around a center is a prefix of that center's points in stable
-distance order, ending where the distance changes.  ``canonical_balls``
-and the CZ family (``czd.cz_family``) both come from this table: each
-prefix's member row is packed into 64-bit words by a running OR along
-the order, duplicate member sets are found by sorting the packed rows,
-and ``Ball`` objects are built only for the survivors.
+distance order, ending where the distance changes.  The order of every
+row is computed once per space and cached.  ``canonical_balls`` and the
+CZ family (``czd.cz_family``) both come from this table: each prefix's
+member row is packed into 64-bit words by a running OR along the order,
+duplicate member sets are found by sorting the packed rows, and ``Ball``
+objects are built only for the survivors.
+
+``doubling_profile`` reads the same order.  The breaks between distinct
+distances give every center's representative radii, B(c, r_i) is the
+prefix up to break i, and B(c, 2 r_i) is the prefix of sorted distances
+below 2 r_i.  A measure must have the bits of ``w[row < r].sum()``,
+numpy's pairwise sum over the members in index order, so prefixes are
+not summed by ``cumsum`` or over zero-padded rows, which group the
+additions differently: per prefix length L, the members of every prefix
+of that length are gathered in index order into one (rows, L) array and
+summed along its rows.  The certificate then scans, per center x, every
+(y, r) pair in decreasing order of r^D / mu(B(y, r)), so that each of
+x's radii R needs only the first pair with y in B(x, R) and r <= R.
 """
 
 from __future__ import annotations
@@ -126,11 +139,14 @@ class DoublingProfile:
     """Doubling constant, dimension, and the measure-ratio certificate.
 
     ``c_mu`` is the maximum of mu(2B)/mu(B) over every center and every
-    representative radius from ``center_radii``, clamped below by
+    representative radius of that center (d_{k+1} for the ball {d <= d_k},
+    d_max * ``FULL_BALL_BUMP`` for the full ball), clamped below by
     ``MIN_DOUBLING``; ``dimension`` is log2(c_mu).  The certificate
-    records the worst quadruple (x, R, y, r) with y in B(x, R) and
-    0 < r <= R for the bound mu(B(x,R))/mu(B(y,r)) <= c_mu^2 (R/r)^D,
-    together with the largest observed ratio of left to right side.
+    records the worst quadruple (x, R, y, r), y in B(x, R) and r <= R
+    among y's representative radii, for the bound
+    mu(B(x,R))/mu(B(y,r)) <= c_mu^2 (R/r)^D, together with the largest
+    observed ratio of left to right side.  Ties go to the first (x, R) in
+    (center, radius) order, then the lowest-index y, then the largest r.
     """
 
     c_mu: float
@@ -244,19 +260,6 @@ def dilate(space: Space, ball: Ball, lam: float) -> Ball:
     return ball_at(space, ball.center, lam * ball.radius)
 
 
-def center_radii(space: Space, center_idx: int) -> np.ndarray:
-    """Representative radii of all distinct balls around one center.
-
-    For each constancy interval (d_k, d_{k+1}] of the member set the
-    representative radius is the upper endpoint d_{k+1}; the full ball gets
-    the largest distance from this center times ``FULL_BALL_BUMP``.
-    """
-    ds = np.unique(space.dist[center_idx])
-    if len(ds) == 1:
-        return np.array([SINGLETON_SPACE_RADIUS])
-    return np.concatenate([ds[1:], [ds[-1] * FULL_BALL_BUMP]])
-
-
 def _resolve_region(space: Space, region) -> tuple[int, ...]:
     """Sorted distinct indices of a region: None, a Ball, point ids or indices.
 
@@ -276,6 +279,15 @@ def _resolve_region(space: Space, region) -> tuple[int, ...]:
     return tuple(sorted(idx))
 
 
+def _distance_order(space: Space) -> np.ndarray:
+    """Stable ``argsort`` of every distance row, as int32 (cached)."""
+    cache = space._cache()
+    order = cache.get("order")
+    if order is None:
+        order = cache["order"] = np.argsort(space.dist, axis=1, kind="stable").astype(np.int32)
+    return order
+
+
 def _prefix_balls(space: Space, centers, budget=None, inside=None) -> tuple[Ball, ...]:
     """One ball per distinct member set among the prefix balls of ``centers``.
 
@@ -291,11 +303,11 @@ def _prefix_balls(space: Space, centers, budget=None, inside=None) -> tuple[Ball
     n = space.n
     n_words = -(-n // 64)
     one = np.uint64(1)
+    orders = _distance_order(space)
     pair_center, pair_radius, pair_size, pair_words = [], [], [], []
     for c in centers:
-        row = space.dist[c]
-        order = np.argsort(row, kind="stable")
-        sd = row[order]
+        order = orders[c]
+        sd = space.dist[c][order]
         last = np.flatnonzero(np.append(sd[1:] != sd[:-1], True))
         ds = sd[last]
         if budget is None:
@@ -388,74 +400,112 @@ def canonical_balls(space: Space, region=None) -> tuple[Ball, ...]:
     return balls
 
 
+def _prefix_measures(weights: np.ndarray, rank: np.ndarray, centers, lengths) -> np.ndarray:
+    """mu of the first ``lengths[t]`` points in the distance order of ``centers[t]``.
+
+    Each value has the bits of ``w[row < r].sum()``, numpy's pairwise sum
+    over the members in index order: per prefix length L, the members of
+    every requested prefix are gathered in index order into one
+    C-contiguous (rows, L) array, whose row sums run that same loop.
+    """
+    n = len(weights)
+    keys, inverse = np.unique(np.asarray(lengths) * n + centers, return_inverse=True)
+    key_len, key_center = np.divmod(keys, n)
+    sums = np.empty(len(keys))
+    cuts = [0, *(np.flatnonzero(np.diff(key_len)) + 1).tolist(), len(keys)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        size = int(key_len[lo])
+        inside = rank[key_center[lo:hi]] < size
+        members = np.broadcast_to(weights, inside.shape)[inside]
+        sums[lo:hi] = members.reshape(hi - lo, size).sum(axis=1)
+    return sums[inverse]
+
+
 def doubling_profile(space: Space) -> DoublingProfile:
     """Doubling constant over every center and radius, plus the ratio certificate."""
     cache = space._cache()
     if "profile" in cache:
         return cache["profile"]
 
-    # mu(2B) depends on the center, so every (center, representative radius)
-    # pair counts, not only one center per member set.
     n = space.n
-    radii_list = [center_radii(space, c) for c in range(n)]
-    mus = []
-    worst = 1.0
-    w = space.weights
-    for c in range(n):
-        row = space.dist[c]
-        mu_r = np.array([w[row < r].sum() for r in radii_list[c]])
-        mu_2r = np.array([w[row < 2.0 * r].sum() for r in radii_list[c]])
-        worst = max(worst, float((mu_2r / mu_r).max()))
-        mus.append(mu_r)
-    c_mu = max(worst, MIN_DOUBLING)
+    order = _distance_order(space)
+    sd = np.take_along_axis(space.dist, order, axis=1)
+    rows = np.arange(n)[:, None]
+    step = sd[:, 1:] != sd[:, :-1]
+    # level[c, y]: the index of d(c, y) among the distinct distances from c,
+    # so B(c, r_i) = {y : level[c, y] <= i}; rank[c, y]: y's place in the
+    # order.  int32 halves the memory traffic of the per-center sweeps.
+    sorted_level = np.zeros((n, n), dtype=np.int32)
+    np.cumsum(step, axis=1, out=sorted_level[:, 1:])
+    level = np.empty_like(sorted_level)
+    level[rows, order] = sorted_level
+    rank = np.empty_like(sorted_level)
+    rank[rows, order] = np.arange(n, dtype=np.int32)
+
+    # Every (center, representative radius) pair, flat in (center, radius)
+    # order: mu(2B) depends on the center, so every center counts.  The i-th
+    # prefix gets radius d_{i+1}, the full ball d_max * FULL_BALL_BUMP.
+    centers, ends = np.nonzero(np.append(step, np.ones((n, 1), bool), axis=1))
+    starts = np.searchsorted(centers, np.arange(n + 1))
+    radii = np.empty(len(ends))
+    radii[:-1] = sd[centers[1:], ends[1:]]
+    last = starts[1:] - 1
+    radii[last] = sd[np.arange(n), ends[last]] * FULL_BALL_BUMP
+    if n == 1:
+        radii[:] = SINGLETON_SPACE_RADIUS
+    doubled = np.concatenate(
+        [np.searchsorted(sd[c], 2.0 * radii[starts[c] : starts[c + 1]]) for c in range(n)]
+    )
+    both = _prefix_measures(
+        space.weights, rank, np.tile(centers, 2), np.concatenate([ends + 1, doubled])
+    )
+    mu, mu_2r = both[: len(ends)], both[len(ends) :]
+    c_mu = max(float((mu_2r / mu).max()), MIN_DOUBLING)
     dim = math.log2(c_mu)
 
-    # Certificate sweep: per center, prefix maxima of r^D / mu(B(y, r)) over
-    # its canonical radii make each (x, R) check a single lookup per member.
-    mmax = max(len(r) for r in radii_list)
-    rad_mat = np.full((n, mmax), np.inf)
-    g_pref = np.zeros((n, mmax))
-    arg_pref = np.zeros((n, mmax), dtype=int)
-    for c in range(n):
-        rr = radii_list[c]
-        g = rr**dim / mus[c]
-        pref = np.maximum.accumulate(g)
-        arg = np.zeros(len(rr), dtype=int)
-        best_i = 0
-        for i in range(len(rr)):
-            if g[i] >= g[best_i]:
-                best_i = i
-            arg[i] = best_i
-        rad_mat[c, : len(rr)] = rr
-        g_pref[c, : len(rr)] = pref
-        arg_pref[c, : len(rr)] = arg
-
-    worst_ratio = 0.0
-    worst_quad = (space.point_ids[0], radii_list[0][0], space.point_ids[0], radii_list[0][0])
+    # Certificate: the worst mu(B(x,R)) / (c_mu^2 (R/r)^D mu(B(y,r))) over
+    # y in B(x, R) and y's radii r <= R.  Per (x, R) it is lead times the
+    # largest g = r^D / mu(B(y, r)) over those (y, r) events; rounding is
+    # monotone, so the largest product is lead times the largest g.
+    g = np.concatenate([radii[a:b] ** dim for a, b in zip(starts[:-1], starts[1:])]) / mu
     c_sq = c_mu * c_mu
+    # Python floats: numpy's array power can differ from ** in the last bit.
+    lead = np.array([m / (c_sq * r**dim) for r, m in zip(radii.tolist(), mu.tolist())])
+    by_g = np.argsort(-g, kind="stable")
+    g_desc = g[by_g]
+    event_y = centers[by_g]
+    distinct_radii, radius_rank = np.unique(radii, return_inverse=True)
+    event_rank = radius_rank[by_g]
+    best = np.empty(len(g))
     for x in range(n):
-        for big_r, mu_big in zip(radii_list[x], mus[x]):
-            members = np.flatnonzero(space.dist[x] < big_r)
-            lead = mu_big / (c_sq * big_r**dim)
-            counts = (rad_mat[members] <= big_r).sum(axis=1)
-            ok = counts > 0
-            if not ok.any():
-                continue
-            ys = members[ok]
-            ratios = lead * g_pref[ys, counts[ok] - 1]
-            j = int(ratios.argmax())
-            if ratios[j] > worst_ratio:
-                worst_ratio = float(ratios[j])
-                y = int(ys[j])
-                r_small = radii_list[y][arg_pref[y, counts[ok][j] - 1]]
-                worst_quad = (space.point_ids[x], float(big_r), space.point_ids[y], float(r_small))
+        a, b = starts[x], starts[x + 1]
+        # An event (y, r) counts for (x, R_i) from the first i with
+        # y in B(x, R_i) and r <= R_i; events run by decreasing g, so the
+        # largest g at i is the first event whose running minimum is <= i.
+        below = np.zeros(len(distinct_radii) + 1, dtype=np.int32)
+        below[radius_rank[a:b] + 1] = 1
+        np.cumsum(below, out=below)
+        enters = np.minimum.accumulate(np.maximum(level[x][event_y], below[event_rank]))
+        best[a:b] = g_desc[np.searchsorted(-enters, -np.arange(b - a))]
+    ratios = lead * best
+    k = int(ratios.argmax())  # the first (x, R) attaining the worst ratio
+    worst_ratio = float(ratios[k])
+    x, big_r = int(centers[k]), float(radii[k])
+    for y in np.flatnonzero(level[x] <= k - starts[x]).tolist():
+        a = starts[y]
+        count = int(np.searchsorted(radii[a : starts[y + 1]], big_r, side="right"))
+        if count and lead[k] * g[a : a + count].max() == ratios[k]:
+            # The last radius attaining y's prefix maximum of g.
+            r_small = float(radii[a + count - 1 - int(g[a : a + count][::-1].argmax())])
+            break
+    worst_quad = (space.point_ids[x], big_r, space.point_ids[y], r_small)
 
     profile = DoublingProfile(
         c_mu=float(c_mu),
         dimension=float(dim),
         certificate_ok=bool(worst_ratio <= 1.0 + 1e-9),
         worst_quadruple=worst_quad,
-        worst_ratio=float(worst_ratio),
+        worst_ratio=worst_ratio,
     )
     cache["profile"] = profile
     return profile

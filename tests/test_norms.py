@@ -82,6 +82,84 @@ def test_integral_oscillation_at_most_one_is_sample_minimum():
         assert c in set(f.values.tolist())
 
 
+def _old_integral_oscillation(values, weights, idx, q):
+    """The former q <= 1 per-ball path: each distinct value scored in turn."""
+    vals, w = values[list(idx)], weights[list(idx)]
+    wn = w / w.sum()
+    lo, hi = float(vals.min()), float(vals.max())
+    if lo == hi:
+        return (0.0, lo)
+    best_val, best_c = np.inf, None
+    for c in sorted(np.unique(vals)):
+        val = float((wn * np.abs(vals - c) ** q).sum())
+        if val < best_val:
+            best_val, best_c = val, c
+    return (float(best_val), float(best_c))
+
+
+def test_integral_kernel_matches_per_ball_path():
+    # Per set: osc and mu as float hex, c under == against the former
+    # per-ball loop.  A zero c takes the sign of the lowest-index member
+    # holding it (stable sort); before, it followed numpy's unstable sort.
+    # Families: canonical balls of random spaces, and rows of sizes around
+    # the pairwise-sum block edges 8 and 128; values generic, rounded,
+    # integer with both signed zeros, and constant.
+    rng = np.random.default_rng(44)
+    checked = 0
+    for trial in range(80):
+        kind = trial % 4
+        if trial % 2 == 0:
+            sp = random_space(rng, max_n=16, dim=1 + trial % 3 % 2)
+            n, weights = sp.n, sp.weights
+            rows = [b.idx for b in mj.canonical_balls(sp)]
+        else:
+            n = int(rng.integers(130, 200))
+            weights = [rng.uniform(0.2, 2.0, size=n), rng.integers(1, 10, size=n) / 10.0][trial % 4 // 2]
+            sizes = rng.choice([1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 130], size=12)
+            rows = [tuple(sorted(rng.choice(n, size=int(k), replace=False).tolist())) for k in sizes]
+        values = [
+            rng.normal(size=n),
+            np.round(rng.normal(size=n), 1),
+            np.where(rng.random(n) < 0.4, np.where(rng.random(n) < 0.5, -0.0, 0.0),
+                     rng.integers(-1, 2, size=n).astype(float)),
+            np.full(n, float(rng.normal())),
+        ][kind]
+        for q in (1.0, 0.7, 0.5, 0.25):
+            osc, c, mu = norms._integral_rows(values, weights, rows, q)
+            for b, idx in enumerate(rows):
+                old_osc, old_c = _old_integral_oscillation(values, weights, idx, q)
+                assert float(osc[b]).hex() == old_osc.hex(), (trial, q, b)
+                assert float(c[b]) == old_c, (trial, q, b)
+                assert float(mu[b]).hex() == float(weights[list(idx)].sum()).hex()
+                holder = next(i for i in idx if values[i] == c[b])
+                assert math.copysign(1.0, c[b]) == math.copysign(1.0, values[holder])
+                checked += 1
+    assert checked > 8000
+
+
+def test_jn_integral_norm_matches_per_ball_path():
+    # Totals as float hex and identical packings, against terms built from
+    # the former per-ball oscillations.
+    rng = np.random.default_rng(45)
+    for trial in range(40):
+        sp = random_space(rng, max_n=9, dim=1 + trial % 2)
+        f = fn(sp, np.round(rng.normal(size=sp.n), int(rng.integers(0, 3))))
+        p = float(rng.choice([1.5, 2.0, 3.0]))
+        q = float(rng.choice([1.0, 0.7, 0.5, 0.25]))
+        mode = ("exact", "greedy")[trial % 2]
+        got = mj.jn_integral_norm(sp, f, None, p, q, mode=mode, force=True)
+        balls = mj.canonical_balls(sp)
+        oscs = [_old_integral_oscillation(f.values, sp.weights, b.idx, q)[0] for b in balls]
+        terms = [sp.mu(b.idx) * osc ** (p / q) for b, osc in zip(balls, oscs)]
+        want = norms._jn_norm(sp, balls, oscs, terms, p, mode, True)
+        assert got.total.hex() == want.total.hex() and got.value.hex() == want.value.hex()
+        assert got.packing.balls == want.packing.balls
+        assert [t.hex() for t in got.packing.terms] == [t.hex() for t in want.packing.terms]
+        assert [o.hex() for o in got.packing.oscillations] == [
+            o.hex() for o in want.packing.oscillations
+        ]
+
+
 def test_bmo_examples():
     sp = two_point_space()
     assert mj.bmo_median_norm(sp, fn(sp, [7.0, 7.0]), None, 0.5) == 0.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from medianjn.errors import (
     UnknownCenter,
 )
 
-from medianjn.space import _make_ball, center_radii
+from medianjn.space import FULL_BALL_BUMP, MIN_DOUBLING, SINGLETON_SPACE_RADIUS, _make_ball
 
 from util import line_space, random_space, two_point_space
 
@@ -187,11 +189,19 @@ def test_ball_fields_past_one_word():
         assert b.members == tuple(sp.point_ids[i] for i in b.idx)
 
 
+def _old_center_radii(space, center_idx):
+    """The former ``space.center_radii``: d_{k+1} per prefix, then d_max * bump."""
+    ds = np.unique(space.dist[center_idx])
+    if len(ds) == 1:
+        return np.array([SINGLETON_SPACE_RADIUS])
+    return np.concatenate([ds[1:], [ds[-1] * FULL_BALL_BUMP]])
+
+
 def _old_center_balls(space, center_idx, budget=None):
     """The former per-center radius loop, one ``_make_ball`` call per radius."""
     ds = np.unique(space.dist[center_idx])
     if budget is None:
-        return [_make_ball(space, center_idx, r) for r in center_radii(space, center_idx)]
+        return [_make_ball(space, center_idx, r) for r in _old_center_radii(space, center_idx)]
     radii = [min(float(upper), budget) for k, upper in enumerate(ds[1:]) if ds[k] < budget]
     if budget > ds[-1]:
         radii.append(float(budget))
@@ -256,6 +266,94 @@ def test_prefix_enumeration_matches_per_center_loop():
             b0 = mj.ball_at(sp, center, max(radius, 1e-3))
             for eta in (0.05, 0.5, 3.0, 1e5):
                 assert _fields(mj.cz_family(sp, b0, eta)) == _fields(_old_cz_family(sp, b0, eta))
+
+
+def _old_doubling_profile(space):
+    """The former per-(center, radius) masked sums and per-(x, R) certificate loop."""
+    n = space.n
+    radii_list = [_old_center_radii(space, c) for c in range(n)]
+    mus = []
+    worst = 1.0
+    w = space.weights
+    for c in range(n):
+        row = space.dist[c]
+        mu_r = np.array([w[row < r].sum() for r in radii_list[c]])
+        mu_2r = np.array([w[row < 2.0 * r].sum() for r in radii_list[c]])
+        worst = max(worst, float((mu_2r / mu_r).max()))
+        mus.append(mu_r)
+    c_mu = max(worst, MIN_DOUBLING)
+    dim = math.log2(c_mu)
+
+    mmax = max(len(r) for r in radii_list)
+    rad_mat = np.full((n, mmax), np.inf)
+    g_pref = np.zeros((n, mmax))
+    arg_pref = np.zeros((n, mmax), dtype=int)
+    for c in range(n):
+        rr = radii_list[c]
+        g = rr**dim / mus[c]
+        best_i = 0
+        for i in range(len(rr)):
+            if g[i] >= g[best_i]:
+                best_i = i
+            arg_pref[c, i] = best_i
+        rad_mat[c, : len(rr)] = rr
+        g_pref[c, : len(rr)] = np.maximum.accumulate(g)
+
+    worst_ratio = 0.0
+    worst_quad = None
+    c_sq = c_mu * c_mu
+    for x in range(n):
+        for big_r, mu_big in zip(radii_list[x], mus[x]):
+            members = np.flatnonzero(space.dist[x] < big_r)
+            lead = mu_big / (c_sq * big_r**dim)
+            counts = (rad_mat[members] <= big_r).sum(axis=1)
+            ok = counts > 0
+            if not ok.any():
+                continue
+            ys = members[ok]
+            ratios = lead * g_pref[ys, counts[ok] - 1]
+            j = int(ratios.argmax())
+            if ratios[j] > worst_ratio:
+                worst_ratio = float(ratios[j])
+                y = int(ys[j])
+                r_small = radii_list[y][arg_pref[y, counts[ok][j] - 1]]
+                worst_quad = (space.point_ids[x], float(big_r), space.point_ids[y], float(r_small))
+    return c_mu, dim, worst_ratio <= 1.0 + 1e-9, worst_quad, worst_ratio
+
+
+def _profile_hex(c_mu, dim, ok, quad, ratio):
+    x, big_r, y, r_small = quad
+    return (c_mu.hex(), dim.hex(), ok, x, big_r.hex(), y, r_small.hex(), ratio.hex())
+
+
+def test_doubling_profile_matches_per_radius_loop():
+    # All five fields, floats as hex, against the former masked-sum loop:
+    # the 300 small acceptance draws (draw 8 is the c_mu = 4.5907 case),
+    # larger random spaces, equal weights of 0.1, lines whose distances
+    # tie (spacing 1/64) or split ties by rounding (spacing 1/96), the 8x8
+    # grid, the depth-6 cluster space, one- and two-point spaces, and ties.
+    rng = np.random.default_rng(0)
+    spaces = [acceptance.random_space(rng, max_n=12, min_n=3) for _ in range(300)]
+    rng = np.random.default_rng(16)
+    spaces += [random_space(rng, min_n=n, max_n=n, dim=1 + n % 2) for n in range(20, 73, 4)]
+    spaces += [
+        mj.build_space([f"p{i}" for i in range(n)], [0.1] * n, coords=rng.uniform(0, 3, (n, 1 + n % 2)))
+        for n in range(2, 40, 3)
+    ]
+    spaces += [mj.grid_space(1, 64, spacing=1.0 / 64), mj.grid_space(1, 96, spacing=1.0 / 96)]
+    spaces += [mj.grid_space(2, 8), mj.cluster_space(6)]
+    spaces += [mj.build_space(["a"], [2.0], coords=[[0.0]]), two_point_space(1.0, 3.0)]
+    # Spaces whose worst y attains its largest r^D / mu(B(y, r)) at two
+    # radii; the certificate names the larger one.
+    spaces += [
+        line_space([2.0, 4.0, 6.0, 8.0], weights=[2.0, 4.0, 4.0, 4.0]),
+        line_space([0.0, 4.0, 6.0, 8.0], weights=[4.0, 1.0, 2.0, 1.0]),
+        mj.build_space(["a", "b", "c"], [4.0, 1.0, 2.0], coords=[[4.0, 1.0], [6.0, 5.0], [8.0, 6.0]]),
+    ]
+    for sp in spaces:
+        prof = mj.doubling_profile(sp)
+        got = (prof.c_mu, prof.dimension, prof.certificate_ok, prof.worst_quadruple, prof.worst_ratio)
+        assert _profile_hex(*got) == _profile_hex(*_old_doubling_profile(sp))
 
 
 def test_space_json_roundtrip():
