@@ -400,25 +400,25 @@ def canonical_balls(space: Space, region=None) -> tuple[Ball, ...]:
     return balls
 
 
-def _prefix_measures(weights: np.ndarray, rank: np.ndarray, centers, lengths) -> np.ndarray:
-    """mu of the first ``lengths[t]`` points in the distance order of ``centers[t]``.
+def _prefix_measures(weights: np.ndarray, rank: np.ndarray, centers, *lengths) -> tuple:
+    """Per array L in ``lengths``: mu of the first L[t] points in ``centers[t]``'s order.
 
     Each value has the bits of ``w[row < r].sum()``, numpy's pairwise sum
-    over the members in index order: per prefix length L, the members of
+    over the members in index order: per prefix length, the members of
     every requested prefix are gathered in index order into one
-    C-contiguous (rows, L) array, whose row sums run that same loop.
+    C-contiguous (rows, length) array, whose row sums run that same loop.
     """
     n = len(weights)
-    keys, inverse = np.unique(np.asarray(lengths) * n + centers, return_inverse=True)
-    key_len, key_center = np.divmod(keys, n)
-    sums = np.empty(len(keys))
-    cuts = [0, *(np.flatnonzero(np.diff(key_len)) + 1).tolist(), len(keys)]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        size = int(key_len[lo])
-        inside = rank[key_center[lo:hi]] < size
+    wanted = np.zeros((n, n + 1), dtype=bool)
+    for ls in lengths:
+        wanted[centers, ls] = True
+    table = np.zeros((n, n + 1))
+    for size in np.flatnonzero(wanted.any(axis=0)).tolist():
+        rows = np.flatnonzero(wanted[:, size])
+        inside = rank[rows] < size
         members = np.broadcast_to(weights, inside.shape)[inside]
-        sums[lo:hi] = members.reshape(hi - lo, size).sum(axis=1)
-    return sums[inverse]
+        table[rows, size] = members.reshape(len(rows), size).sum(axis=1)
+    return tuple(table[centers, ls] for ls in lengths)
 
 
 def doubling_profile(space: Space) -> DoublingProfile:
@@ -450,16 +450,13 @@ def doubling_profile(space: Space) -> DoublingProfile:
     radii = np.empty(len(ends))
     radii[:-1] = sd[centers[1:], ends[1:]]
     last = starts[1:] - 1
-    radii[last] = sd[np.arange(n), ends[last]] * FULL_BALL_BUMP
+    radii[last] = sd[:, -1] * FULL_BALL_BUMP
     if n == 1:
         radii[:] = SINGLETON_SPACE_RADIUS
     doubled = np.concatenate(
         [np.searchsorted(sd[c], 2.0 * radii[starts[c] : starts[c + 1]]) for c in range(n)]
     )
-    both = _prefix_measures(
-        space.weights, rank, np.tile(centers, 2), np.concatenate([ends + 1, doubled])
-    )
-    mu, mu_2r = both[: len(ends)], both[len(ends) :]
+    mu, mu_2r = _prefix_measures(space.weights, rank, centers, ends + 1, doubled)
     c_mu = max(float((mu_2r / mu).max()), MIN_DOUBLING)
     dim = math.log2(c_mu)
 
@@ -469,8 +466,7 @@ def doubling_profile(space: Space) -> DoublingProfile:
     # monotone, so the largest product is lead times the largest g.
     g = np.concatenate([radii[a:b] ** dim for a, b in zip(starts[:-1], starts[1:])]) / mu
     c_sq = c_mu * c_mu
-    # Python floats: numpy's array power can differ from ** in the last bit.
-    lead = np.array([m / (c_sq * r**dim) for r, m in zip(radii.tolist(), mu.tolist())])
+    lead = np.empty(len(g))
     by_g = np.argsort(-g, kind="stable")
     g_desc = g[by_g]
     event_y = centers[by_g]
@@ -479,6 +475,8 @@ def doubling_profile(space: Space) -> DoublingProfile:
     best = np.empty(len(g))
     for x in range(n):
         a, b = starts[x], starts[x + 1]
+        # Python floats: numpy's array power can differ from ** in the last bit.
+        lead[a:b] = [m / (c_sq * r**dim) for r, m in zip(radii[a:b].tolist(), mu[a:b].tolist())]
         # An event (y, r) counts for (x, R_i) from the first i with
         # y in B(x, R_i) and r <= R_i; events run by decreasing g, so the
         # largest g at i is the first event whose running minimum is <= i.
