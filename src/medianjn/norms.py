@@ -176,8 +176,9 @@ def integral_oscillation(space: Space, f, subset, q: float) -> tuple[float, floa
     if q <= 1.0:
         osc, c, _ = _integral_rows(_as_values(space, f), space.weights, [idx], q)
         return (float(osc[0]), float(c[0]))
-    vals = _as_values(space, f)[list(idx)]
-    w = space.weights[list(idx)]
+    idx = list(idx)
+    vals = _as_values(space, f)[idx]
+    w = space.weights[idx]
     wn = w / w.sum()
     lo, hi = float(vals.min()), float(vals.max())
     if lo == hi:
@@ -229,9 +230,8 @@ def _integral_rows(values: np.ndarray, weights: np.ndarray, rows, q: float):
             for b in range(0, k, per):
                 dev = np.abs(v[:, None, :] - cands[:, b : b + per, None]) ** q
                 obj[:, b : b + per] = (wn[:, None, :] * dev).sum(axis=2)
-            best = obj.argmin(axis=1)
-            osc[sel] = obj[np.arange(len(sel)), best]
-            c[sel] = cands[np.arange(len(sel)), best]
+            osc[sel] = obj.min(axis=1)
+            c[sel] = cands[np.arange(len(sel)), obj.argmin(axis=1)]
     return osc, c, mu
 
 
