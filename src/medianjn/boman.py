@@ -29,6 +29,7 @@ from .errors import (
     ConstructionFailed,
     InvalidParameter,
     InvalidS,
+    UnknownBall,
     UnverifiedDecomposition,
 )
 from .median import _as_values, maximal_median
@@ -73,10 +74,18 @@ def decomposition_from_json(space: Space, obj) -> BomanDecomposition:
     balls = tuple(ball_at(space, b["center"], b["radius"]) for b in obj["balls"])
     central_spec = obj["central"]
     central = next(
-        i
-        for i, b in enumerate(balls)
-        if b.center == central_spec["center"] and b.radius == central_spec["radius"]
+        (
+            i
+            for i, b in enumerate(balls)
+            if b.center == central_spec["center"] and b.radius == central_spec["radius"]
+        ),
+        None,
     )
+    if central is None:
+        raise UnknownBall(
+            f"central ball {central_spec['center']} radius {central_spec['radius']} "
+            "is not among the balls"
+        )
     chains = {int(k): tuple(int(i) for i in v) for k, v in obj["chains"].items()}
     links = {}
     for key, ids in obj["links"].items():
@@ -122,7 +131,11 @@ class BomanCertificate:
 
 
 def verify_boman(space: Space, dec: BomanDecomposition) -> BomanCertificate:
-    """Check conditions (i)-(v) plus disjointness; never raises on failure."""
+    """Check conditions (i)-(v) plus disjointness; never raises on failure.
+
+    A non-positive C1, C2 or rho fails ``parameters``, and each condition
+    that needs a dilate by it fails with that factor as its witness.
+    """
     reports = []
     region = set(space.index(p) for p in dec.region)
 
@@ -136,20 +149,30 @@ def verify_boman(space: Space, dec: BomanDecomposition) -> BomanCertificate:
             break
     reports.append(ConditionReport("disjoint", disjoint, witness))
 
-    c1_dilates = [dilate(space, b, dec.c1) for b in dec.balls]
-    c2_dilates = [dilate(space, b, dec.c2) for b in dec.balls]
-    rho_dilates = [dilate(space, b, dec.rho) for b in dec.balls]
-    u1 = set().union(*(d.idx for d in c1_dilates))
-    u2 = set().union(*(d.idx for d in c2_dilates))
-    ok = u1 == region and u2 == region
-    witness = "" if ok else (
-        f"C1 union {'==' if u1 == region else '!='} region, "
-        f"C2 union {'==' if u2 == region else '!='} region"
-    )
+    def dilates(lam):
+        return [dilate(space, b, lam) for b in dec.balls] if lam > 0.0 else None
+
+    def undefined(**factors):
+        # The witness of a condition that needs a dilate by a factor <= 0.
+        bad = [f"{name}={lam!r}" for name, lam in factors.items() if not lam > 0.0]
+        return f"no dilate by non-positive {', '.join(bad)}" if bad else ""
+
+    c1_dilates, c2_dilates, rho_dilates = dilates(dec.c1), dilates(dec.c2), dilates(dec.rho)
+    witness = undefined(C1=dec.c1, C2=dec.c2)
+    ok = not witness
+    if ok:
+        u1 = set().union(*(d.idx for d in c1_dilates))
+        u2 = set().union(*(d.idx for d in c2_dilates))
+        ok = u1 == region and u2 == region
+        witness = "" if ok else (
+            f"C1 union {'==' if u1 == region else '!='} region, "
+            f"C2 union {'==' if u2 == region else '!='} region"
+        )
     reports.append(ConditionReport("i-union", ok, witness))
 
-    ok, witness = True, ""
-    for a, da in enumerate(c2_dilates):
+    witness = undefined(C2=dec.c2)
+    ok = not witness
+    for a, da in enumerate(c2_dilates if ok else ()):
         count = sum(1 for db in c2_dilates if da.mask & db.mask)
         if count > dec.overlap:
             ok, witness = False, f"C2 dilate of ball {a} meets {count} > M={dec.overlap}"
@@ -170,8 +193,9 @@ def verify_boman(space: Space, dec: BomanDecomposition) -> BomanCertificate:
             break
     reports.append(ConditionReport("iii-chains", ok, witness))
 
-    ok, witness = True, ""
-    for bi in range(len(dec.balls)):
+    witness = undefined(C1=dec.c1)
+    ok = not witness
+    for bi in range(len(dec.balls) if ok else 0):
         chain = dec.chains.get(bi) or ()
         for pos in range(1, len(chain)):
             link = dec.links.get((bi, pos))
@@ -197,8 +221,9 @@ def verify_boman(space: Space, dec: BomanDecomposition) -> BomanCertificate:
             break
     reports.append(ConditionReport("iv-links", ok, witness))
 
-    ok, witness = True, ""
-    for bi in range(len(dec.balls)):
+    witness = undefined(rho=dec.rho)
+    ok = not witness
+    for bi in range(len(dec.balls) if ok else 0):
         for v in dec.chains.get(bi) or ():
             if dec.balls[bi].mask & rho_dilates[v].mask != dec.balls[bi].mask:
                 ok, witness = False, f"ball {bi} escapes rho * ball {v}"

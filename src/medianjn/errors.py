@@ -116,6 +116,10 @@ class ConstructionFailed(MedianJNError):
     """No parameter choice produced a verified decomposition."""
 
 
+class UnknownBall(MedianJNError):
+    """A decomposition names a central ball that is not among its balls."""
+
+
 # ---------------------------------------------------------------- generators
 
 

@@ -5,12 +5,37 @@ every canonical ball inside it gets a nonnegative term (measure times a
 power of its oscillation), and the norm is the p-th root of the maximum
 total term over pairwise-disjoint ball collections.  Exact mode solves the
 weighted set-packing problem by depth-first branch and bound over balls
-sorted by decreasing term.  Three admissible upper bounds prune the search:
+sorted by decreasing term.  Four admissible upper bounds prune the search:
 
 * the sum of all remaining terms,
 * one maximal term per clique of candidates anchored at a shared point,
 * per remaining point, its weight times the best term density mu-rate of
-  any remaining ball containing it.
+  any remaining ball containing it,
+* on interval instances, the weighted-interval-scheduling optimum of the
+  remaining candidates.
+
+An interval instance is one where every candidate is a run of consecutive
+points in one point order, the stable distance order from a point farthest
+from point 0 (on a line, the coordinate order).  Two runs are disjoint
+exactly when their rank spans are, so the packing problem is weighted
+interval scheduling: a dynamic program over the candidates by right end
+solves it in O(m) per node.  The data is built only when the root survives
+the sum bound, so a search over pairwise disjoint candidates pays nothing.
+
+The bound is applied to totals, with a margin for rounding.  The search
+adds a packing's terms in include order, the dynamic program in its own,
+and k positive terms summed in any order land within a factor
+(1 +- 2^-53)^k of their exact sum.  A packing has at most n balls, so
+(current + remaining optimum) * (1 + 4n 2^-52) is at least the float
+total of every packing below the node, and the node is pruned when that
+is at most max(best, floor).  Against best, this skips only packings the
+strict ``>`` update would pass over.  The floor, the root optimum times
+(1 - 4n 2^-52), lies below the float total of every exactly optimal
+packing, so it skips only packings that one of those would replace.  The
+candidate order, the include-first visits and the strict ``>`` stay, so
+the returned total and packing are bit for bit those of the search
+without this bound, ties included, unless some packing falls short of
+the optimum by less than about 10n rounding units without tying it.
 
 Every remaining ball is disjoint from every chosen one: including a ball
 keeps only the later candidates that share no point with it.  Each
@@ -52,13 +77,14 @@ from .median import (
     _shorth_rows,
     weighted_maximal_median,
 )
-from .space import Ball, Space, _resolve_region, canonical_balls
+from .space import Ball, Space, _distance_order, _resolve_region, canonical_balls
 
 EXACT_MODE_LIMIT = 32
 
-# Elements of the (rows x candidates x size) objective array per block of
-# the q <= 1 integral-oscillation kernel.
-_INTEGRAL_BLOCK_ELEMS = 1 << 14
+# Elements per block of two array kernels: the (rows x candidates x size)
+# objective array of the q <= 1 integral oscillation, and the (rows x
+# points) rank view of the packing search's run test.
+_BLOCK_ELEMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -205,7 +231,7 @@ def _integral_rows(values: np.ndarray, weights: np.ndarray, rows, q: float):
     sorted order, and the first minimum wins: the least value at the
     smallest minimizing c, (0, v) for a constant set.  Sets of one size k
     go in blocks whose (rows x k x k) objective array stays under
-    ``_INTEGRAL_BLOCK_ELEMS`` (candidates are split for larger k).  Each
+    ``_BLOCK_ELEMS`` (candidates are split for larger k).  Each
     objective is a row sum over a C-contiguous last axis, the same
     pairwise sum as the 1-D ``.sum()`` of one set, and so are mu and the
     normalizing total.
@@ -217,7 +243,7 @@ def _integral_rows(values: np.ndarray, weights: np.ndarray, rows, q: float):
     cuts = [0, *(np.flatnonzero(np.diff(sizes[by_size])) + 1).tolist(), m]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         k = int(sizes[by_size[lo]])
-        step = max(1, _INTEGRAL_BLOCK_ELEMS // (k * k))
+        step = max(1, _BLOCK_ELEMS // (k * k))
         for a in range(lo, hi, step):
             sel = by_size[a : min(a + step, hi)]
             pts = np.array([rows[j] for j in sel.tolist()], dtype=np.intp).reshape(len(sel), k)
@@ -226,7 +252,7 @@ def _integral_rows(values: np.ndarray, weights: np.ndarray, rows, q: float):
             wn = w / mu[sel, None]
             cands = np.sort(v, axis=1, kind="stable")
             obj = np.empty((len(sel), k))
-            per = max(1, _INTEGRAL_BLOCK_ELEMS // (len(sel) * k))
+            per = max(1, _BLOCK_ELEMS // (len(sel) * k))
             for b in range(0, k, per):
                 dev = np.abs(v[:, None, :] - cands[:, b : b + per, None]) ** q
                 obj[:, b : b + per] = (wn[:, None, :] * dev).sum(axis=2)
@@ -303,6 +329,41 @@ def _greedy_pack(order, masks):
     return chosen
 
 
+def _interval_rows(space: Space, member_matrix: np.ndarray, term_arr: np.ndarray):
+    """Candidates as rank intervals in one point order, or None if one is not a run.
+
+    The order is the stable distance order from a point farthest from
+    point 0: the coordinate order on a line.  Member rows are viewed in
+    that order in blocks of at most ``_BLOCK_ELEMS`` elements.  Returns a
+    (lo, hi, term) tuple per candidate row and the rows by increasing hi.
+    """
+    m, n = member_matrix.shape
+    point_order = _distance_order(space)[int(space.dist[0].argmax())]
+    lo, hi = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
+    step = max(1, _BLOCK_ELEMS // n)
+    for a in range(0, m, step):
+        ranked = member_matrix[a : a + step, point_order]
+        lo[a : a + step] = ranked.argmax(axis=1)
+        hi[a : a + step] = n - 1 - ranked[:, ::-1].argmax(axis=1)
+        if not np.array_equal(hi[a : a + step] - lo[a : a + step] + 1, ranked.sum(axis=1)):
+            return None
+    spans = list(zip(lo.tolist(), hi.tolist(), term_arr.tolist()))
+    return spans, np.argsort(hi, kind="stable")
+
+
+def _interval_optimum(spans, rows: np.ndarray) -> float:
+    """Weighted-interval-scheduling optimum over ``rows``, listed by increasing hi."""
+    # before[x]: the optimum over the rows seen so far that end below rank x.
+    before, reach = [], 0.0
+    for lo, hi, term in map(spans.__getitem__, rows.tolist()):
+        while len(before) <= hi:
+            before.append(reach)
+        total = before[lo] + term
+        if total > reach:
+            reach = total
+    return reach
+
+
 def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
     """Maximize the total term over pairwise-disjoint balls.
 
@@ -349,6 +410,23 @@ def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
     weights = space.weights
     best_total = greedy_total
     best_choice = list(greedy)
+    # The interval data is built only when the root survives the sum bound.
+    intervals = None
+    if float(term_arr.sum()) > best_total:
+        intervals = _interval_rows(space, member_matrix, term_arr)
+    margin = 4 * n * 2.0**-52
+    floor = None
+
+    def interval_pruned(rem, current):
+        nonlocal floor
+        spans, by_end = intervals
+        alive = np.zeros(m, dtype=bool)
+        alive[rem] = True
+        reach = _interval_optimum(spans, by_end[alive[by_end]])
+        if floor is None:
+            # The first call is at the root, which this never prunes.
+            floor = reach * (1.0 - margin)
+        return (current + reach) * (1.0 + margin) <= max(best_total, floor)
 
     def clique_bound(rem):
         # Rows run by decreasing term, so the first remaining row at an
@@ -372,6 +450,8 @@ def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
             slack = best_total - current
             if float(term_arr[rem].sum()) <= slack:
                 return
+            if intervals is not None and interval_pruned(rem, current):
+                return
             if clique_bound(rem) <= slack:
                 return
             if density_bound(rem) <= slack:
@@ -385,6 +465,9 @@ def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
             rem = tail
 
     dfs(np.arange(m), 0.0, [])
+    # dfs refers to itself; drop it so that its closure, arrays included, is
+    # freed on return rather than at the next garbage collection.
+    dfs = None
     return best_total, [order[j] for j in best_choice]
 
 

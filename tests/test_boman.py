@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import medianjn as mj
-from medianjn.errors import ConstructionFailed, InvalidS, UnverifiedDecomposition
+from medianjn.errors import ConstructionFailed, InvalidS, UnknownBall, UnverifiedDecomposition
 
 from util import fn, random_space
 
@@ -158,3 +159,20 @@ def test_decomposition_json_roundtrip(grid32, dec32):
     assert back.chains == dec32.chains
     assert back.links == dec32.links
     assert mj.verify_boman(grid32, back).ok
+
+
+def test_unknown_central_ball_is_named_error(grid32, dec32):
+    obj = dec32.to_json()
+    obj["central"]["radius"] = 123
+    with pytest.raises(UnknownBall):
+        mj.decomposition_from_json(grid32, obj)
+
+
+def test_non_positive_dilation_fails_certificate(grid32, dec32):
+    cert = mj.verify_boman(grid32, dataclasses.replace(dec32, c1=0.0))
+    assert not cert.ok
+    assert cert.failing() == ("i-union", "iv-links", "parameters")
+    witness = {c.name: c.witness for c in cert.conditions}
+    assert witness["i-union"] == witness["iv-links"] == "no dilate by non-positive C1=0.0"
+    cert = mj.verify_boman(grid32, dataclasses.replace(dec32, c2=-1.0, rho=0.0))
+    assert cert.failing() == ("i-union", "ii-overlap", "v-absorption", "parameters")

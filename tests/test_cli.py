@@ -124,3 +124,38 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         ran.append(argv[0])
     capsys.readouterr()
     assert {"jn-median", "cz", "good-lambda", "verify-local-jn"} <= set(ran)
+
+
+@pytest.fixture()
+def boman_files(tmp_path):
+    g = mj.grid_space(1, 32, spacing=1 / 32)
+    dec = mj.grid_boman_decomposition(g, mj.ball_at(g, "p16", 5.0))
+    space_path = tmp_path / "line32.json"
+    space_path.write_text(json.dumps(mj.space_to_json(g)))
+
+    def write(**changes):
+        obj = dec.to_json()
+        for key, value in changes.items():
+            obj[key] = value
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps(obj))
+        return ["verify-boman", "--space", str(space_path), "--decomposition", str(path)]
+
+    return dec, write
+
+
+def test_verify_boman_unknown_central_exits_2(boman_files, capsys):
+    dec, write = boman_files
+    central = dict(dec.to_json()["central"], radius=123)
+    assert main(write(central=central)) == 2
+    assert "is not among the balls" in capsys.readouterr().err
+
+
+def test_verify_boman_non_positive_rho_fails_certificate(boman_files, capsys):
+    _, write = boman_files
+    assert main(write()) == 0
+    capsys.readouterr()
+    assert main(write(rho=0.0) + ["--output", "json"]) == 1
+    cert = json.loads(capsys.readouterr().out)
+    failing = [c["name"] for c in cert["conditions"] if not c["pass"]]
+    assert failing == ["v-absorption", "parameters"]

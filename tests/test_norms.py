@@ -1,3 +1,4 @@
+import bisect
 import inspect
 import math
 import sys
@@ -446,3 +447,83 @@ def test_exact_packing_matches_milp_optimum():
         assert total == pytest.approx(sum(terms[j] for j in picked), rel=1e-9)
         assert total == pytest.approx(sum(terms[j] for j in chosen), rel=1e-12)
         checked += 1
+
+
+@pytest.mark.parametrize(
+    "seed, total, packing",
+    [
+        (0, "0x1.37547ae147ae2p+6", "p0 3, p4 2, p9 4, p32 20, p55 4, p63 5"),
+        (1, "0x1.0726666666666p+6", "p0 4, p12 9, p31 10, p48 8, p57 2, p63 5"),
+    ],
+)
+def test_exact_packing_tie_heavy_line_is_pinned(seed, total, packing):
+    # One-decimal values on the 67-point unit line: many equal terms, so
+    # many packings tie with the optimum.  The total and the chosen balls
+    # are those of the search without the interval bound.
+    g = mj.grid_space(1, 67)
+    f = fn(g, np.round(np.random.default_rng(seed).normal(size=67), 1))
+    res = mj.jn_median_norm(g, f, None, 2.0, 0.25, force=True)
+    assert res.total.hex() == total
+    assert ", ".join(f"{b.center} {b.radius:g}" for b in res.packing.balls) == packing
+
+
+def _interval_scheduling_optimum(space, balls, terms):
+    """Weighted interval scheduling over coordinate runs, by binary search on ends."""
+    rank = np.empty(space.n, dtype=int)
+    rank[np.argsort(space.coords[:, 0], kind="stable")] = np.arange(space.n)
+    jobs = []
+    for b, t in zip(balls, terms):
+        r = sorted(rank[list(b.idx)].tolist())
+        assert r[-1] - r[0] + 1 == len(r)
+        jobs.append((r[-1], r[0], t))
+    jobs.sort()
+    ends = [hi for hi, _, _ in jobs]
+    best = [0.0]
+    for k, (hi, lo, t) in enumerate(jobs):
+        best.append(max(best[k], best[bisect.bisect_left(ends, lo, 0, k)] + t))
+    return best[-1]
+
+
+def _interval_instances():
+    rng = np.random.default_rng(47)
+    for trial in range(30):
+        if trial % 3 == 0:
+            # Random coordinates: point 0 usually lies inside the line.
+            sp = acceptance.random_space(rng, min_n=20, max_n=45, dim=1)
+            values = rng.normal(size=sp.n)
+        else:
+            sp = mj.grid_space(1, int(rng.integers(20, 60)))
+            values = np.round(rng.normal(size=sp.n), trial % 3)
+        yield sp, fn(sp, values), float(rng.choice([0.25, 0.5])), float(rng.choice([1.5, 2.0, 3.0]))
+
+
+def test_exact_packing_matches_interval_scheduling_on_lines(monkeypatch):
+    calls = []
+    optimum = norms._interval_optimum
+    monkeypatch.setattr(
+        norms, "_interval_optimum", lambda *args: calls.append(1) or optimum(*args)
+    )
+    for sp, f, s, p in _interval_instances():
+        balls, (oscs, mus) = norms._family_oscillations(sp, f, tuple(range(sp.n)), s)
+        terms = [mu * osc**p for mu, osc in zip(mus, oscs)]
+        res = mj.jn_median_norm(sp, f, None, p, s, force=True)
+        assert res.total == pytest.approx(
+            _interval_scheduling_optimum(sp, balls, terms), rel=1e-12
+        )
+    assert calls
+
+
+def test_interval_bound_stays_off_in_the_plane(monkeypatch):
+    # On a 2-D grid some candidate is not a run in the point order, so the
+    # interval data is refused and only the other three bounds prune.
+    built = []
+    rows = norms._interval_rows
+    monkeypatch.setattr(norms, "_interval_rows", lambda *args: built.append(rows(*args)) or built[-1])
+    rng = np.random.default_rng(53)
+    g = mj.grid_space(2, 5)
+    f = fn(g, rng.normal(size=g.n))
+    balls, terms = _median_terms(g, f, 0.25, 2.0)
+    assert norms._packed_sup(g, balls, terms, "exact", True) == _list_and_dict_packed_sup(
+        g, balls, terms
+    )
+    assert built == [None]
