@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .errors import InvalidDim, InvalidParameter, UnknownKind
@@ -28,22 +30,27 @@ def grid_space(
 
     Coordinates start at ``spacing`` rather than zero, so a grid with
     spacing 1/n covers (0, 1] and stays clear of the singularity of the
-    blow-up functions.  Raises InvalidDim.
+    blow-up functions.  Distances are lattice distances times the
+    spacing, so the member sets of the balls and the doubling constant
+    are those of the unit grid at any spacing.  Raises InvalidDim.
     """
     if dim not in (1, 2):
         raise InvalidDim(f"dim must be 1 or 2, got {dim}")
     if n < 1:
         raise InvalidParameter(f"n must be at least 1, got {n}")
+    lattice = np.arange(1.0, n + 1.0)
     if dim == 1:
-        coords = [[(i + 1) * spacing] for i in range(n)]
+        points = lattice[:, None]
     else:
-        coords = [
-            [(i + 1) * spacing, (j + 1) * spacing]
-            for i in range(n)
-            for j in range(n)
-        ]
-    ids = [f"p{k}" for k in range(len(coords))]
-    return build_space(ids, _weights(weight_profile, len(ids), seed), coords=coords)
+        points = np.stack(np.meshgrid(lattice, lattice, indexing="ij"), axis=-1).reshape(-1, 2)
+    ids = [f"p{k}" for k in range(len(points))]
+    space = build_space(ids, _weights(weight_profile, len(ids), seed), coords=points * spacing)
+    # Differences of the rounded coordinates would split equal lattice
+    # distances unless the spacing is a power of two.
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1)) * abs(spacing)
+    dist.setflags(write=False)
+    return dataclasses.replace(space, dist=dist)
 
 
 def cluster_space(

@@ -5,14 +5,18 @@ every canonical ball inside it gets a nonnegative term (measure times a
 power of its oscillation), and the norm is the p-th root of the maximum
 total term over pairwise-disjoint ball collections.  Exact mode solves the
 weighted set-packing problem by depth-first branch and bound over balls
-sorted by decreasing term.  Four admissible upper bounds prune the search:
+sorted by decreasing term.  Every caller passes a ``canonical_balls``
+family, which comes in (center index, radius) order, so a stable sort on
+the term alone breaks ties by center and radius.  Admissible upper bounds
+prune the search:
 
-* the sum of all remaining terms,
-* one maximal term per clique of candidates anchored at a shared point,
-* per remaining point, its weight times the best term density mu-rate of
-  any remaining ball containing it,
+* at every node, the sum of all remaining terms;
 * on interval instances, the weighted-interval-scheduling optimum of the
-  remaining candidates.
+  remaining candidates, and no other bound: within rounding the two below
+  are weaker there;
+* on other instances, one maximal term per clique of candidates anchored
+  at a shared point, and per remaining point its weight times the best
+  term density mu-rate of any remaining ball containing it.
 
 An interval instance is one where every candidate is a run of consecutive
 points in one point order, the stable distance order from a point farthest
@@ -37,6 +41,18 @@ the returned total and packing are bit for bit those of the search
 without this bound, ties included, unless some packing falls short of
 the optimum by less than about 10n rounding units without tying it.
 
+On other instances that survive the sum bound at the root, dominated
+candidates leave the search before it starts.  Candidate B is dominated
+when some candidate A is a proper subset of it with term(A) - term(B)
+above 4n 2^-52 times the sum of all terms.  Swapping B for A in a packing
+raises its exact total by more than that, while rounding moves each float
+total by at most about n 2^-52 times the same sum.  So the swapped packing
+has the larger float total, and no packing with the maximal float total
+holds B.  The search visits the packings left in the same include-first
+order and returns the same first maximum; equal terms never dominate.
+Member rows are compared as packed words, in tiles of at most half
+``_BLOCK_ELEMS`` elements.
+
 Every remaining ball is disjoint from every chosen one: including a ball
 keeps only the later candidates that share no point with it.  Each
 candidate's member row is packed once into 64-bit words, so that conflict
@@ -59,6 +75,7 @@ mu * osc**(p/q) are formed from Python floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +98,10 @@ from .space import Ball, Space, _distance_order, _resolve_region, canonical_ball
 
 EXACT_MODE_LIMIT = 32
 
-# Elements per block of two array kernels: the (rows x candidates x size)
-# objective array of the q <= 1 integral oscillation, and the (rows x
-# points) rank view of the packing search's run test.
+# Elements per block of three array kernels: the (rows x candidates x size)
+# objective array of the q <= 1 integral oscillation, the (rows x points)
+# rank view of the packing search's run test, and (at half size) the
+# (rows x rows x words) subset test of its dominance pass.
 _BLOCK_ELEMS = 1 << 14
 
 
@@ -364,19 +382,43 @@ def _interval_optimum(spans, rows: np.ndarray) -> float:
     return reach
 
 
+def _dominated_rows(words: np.ndarray, sizes: np.ndarray, term_arr: np.ndarray, slack: float):
+    """Rows with a proper sub-row whose term exceeds theirs by more than ``slack``.
+
+    Row a is a proper subset of row b when ``words[a] & ~words[b]`` is zero
+    in every word and a is the smaller row.  Terms decrease along the rows
+    and ``slack`` is positive, so only earlier rows can dominate.  Rows are
+    compared in tiles of at most ``_BLOCK_ELEMS // 2`` words, 64 KiB: at
+    128 KiB glibc's allocator maps each array afresh, which showed as a
+    higher peak resident size.
+    """
+    m, n_words = words.shape
+    side = max(1, math.isqrt(_BLOCK_ELEMS // 2 // n_words))
+    dominated = np.zeros(m, dtype=bool)
+    for b in range(0, m, side):
+        outside = ~words[b : b + side, None]
+        size_b, term_b = sizes[b : b + side, None], term_arr[b : b + side, None]
+        for a in range(0, min(b + side, m), side):
+            sub = ~(words[None, a : a + side] & outside).any(axis=2)
+            sub &= sizes[None, a : a + side] < size_b
+            sub &= term_arr[None, a : a + side] - term_b > slack
+            dominated[b : b + side] |= sub.any(axis=1)
+    return dominated
+
+
 def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
     """Maximize the total term over pairwise-disjoint balls.
 
     Returns (total, chosen ball indices).  ``balls``/``terms`` must be
-    parallel; zero-term balls never help and are dropped up front.
+    parallel, and ``balls`` in (center index, radius) order, as
+    ``canonical_balls`` returns them: a stable sort by decreasing term then
+    breaks ties by center and radius.  Zero-term balls never help and are
+    dropped up front.
     """
     live = [j for j, t in enumerate(terms) if t > 0.0]
     if not live:
         return 0.0, []
-    order = sorted(
-        live,
-        key=lambda j: (-terms[j], space.index(balls[j].center), balls[j].radius),
-    )
+    order = sorted(live, key=lambda j: -terms[j])
     masks = [balls[j].mask for j in order]
     term_arr = np.array([terms[j] for j in order])
     greedy = _greedy_pack(range(len(order)), masks)
@@ -410,11 +452,17 @@ def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
     weights = space.weights
     best_total = greedy_total
     best_choice = list(greedy)
-    # The interval data is built only when the root survives the sum bound.
-    intervals = None
-    if float(term_arr.sum()) > best_total:
-        intervals = _interval_rows(space, member_matrix, term_arr)
     margin = 4 * n * 2.0**-52
+    # Interval data and dominance only when the root survives the sum bound;
+    # interval instances prune by the interval bound alone.
+    intervals = None
+    start = np.arange(m)
+    term_sum = float(term_arr.sum())
+    if term_sum > best_total:
+        intervals = _interval_rows(space, member_matrix, term_arr)
+        if intervals is None:
+            sizes = member_matrix.sum(axis=1)
+            start = np.flatnonzero(~_dominated_rows(words, sizes, term_arr, margin * term_sum))
     floor = None
 
     def interval_pruned(rem, current):
@@ -450,11 +498,10 @@ def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
             slack = best_total - current
             if float(term_arr[rem].sum()) <= slack:
                 return
-            if intervals is not None and interval_pruned(rem, current):
-                return
-            if clique_bound(rem) <= slack:
-                return
-            if density_bound(rem) <= slack:
+            if intervals is not None:
+                if interval_pruned(rem, current):
+                    return
+            elif clique_bound(rem) <= slack or density_bound(rem) <= slack:
                 return
             j = rem[0]
             tail = rem[1:]
@@ -464,7 +511,7 @@ def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
             chosen.pop()
             rem = tail
 
-    dfs(np.arange(m), 0.0, [])
+    dfs(start, 0.0, [])
     # dfs refers to itself; drop it so that its closure, arrays included, is
     # freed on return rather than at the next garbage collection.
     dfs = None
@@ -473,7 +520,7 @@ def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
 
 def _jn_norm(space, balls, oscs, terms, p, mode, force):
     total, chosen = _packed_sup(space, balls, terms, mode, force)
-    chosen = sorted(chosen, key=lambda j: (space.index(balls[j].center), balls[j].radius))
+    chosen = sorted(chosen)
     packing = BallPacking(
         balls=tuple(balls[j] for j in chosen),
         oscillations=tuple(float(oscs[j]) for j in chosen),

@@ -18,6 +18,16 @@ def test_grid_examples():
         mj.grid_space(3, 2)
 
 
+@pytest.mark.parametrize("dim, n, spacing", [(1, 96, 1.0 / 96), (2, 6, 0.1)])
+def test_grid_distances_keep_lattice_ties(dim, n, spacing):
+    # Rounded coordinates would split equal lattice distances into several
+    # values, and with them balls; a grid's geometry is that at spacing 1.
+    g, unit = mj.grid_space(dim, n, spacing=spacing), mj.grid_space(dim, n)
+    assert np.array_equal(g.dist, unit.dist * spacing)
+    assert len(mj.canonical_balls(g)) == len(mj.canonical_balls(unit))
+    assert mj.doubling_profile(g).c_mu == mj.doubling_profile(unit).c_mu
+
+
 def test_grid_avoids_origin():
     g = mj.grid_space(1, 4, spacing=0.25)
     assert g.coords[:, 0].min() > 0.0

@@ -527,3 +527,95 @@ def test_interval_bound_stays_off_in_the_plane(monkeypatch):
         g, balls, terms
     )
     assert built == [None]
+
+
+def _recorded_dominance(monkeypatch):
+    """Record each dominance pre-pass: its arguments and the rows it drops."""
+    seen = []
+    rows = norms._dominated_rows
+
+    def record(*args):
+        seen.append((*args, rows(*args)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(norms, "_dominated_rows", record)
+    return seen
+
+
+def _ball_and_sub_ball_terms(excess):
+    """Terms on the 5x5 grid: B(p0) = {p0, p1, p5} at 1, its sub-ball {p1} at 1 + excess.
+
+    Every other ball that meets {p0, p1, p5} gets 0 and the rest small
+    dyadic terms, so the two balls combine with the same other balls.
+    """
+    g = mj.grid_space(2, 5)
+    balls = mj.canonical_balls(g)
+    big = next(j for j, b in enumerate(balls) if b.members == ("p0", "p1", "p5"))
+    sub = next(j for j, b in enumerate(balls) if b.members == ("p1",))
+    rng = np.random.default_rng(61)
+    terms = [0.0 if b.mask & balls[big].mask else int(rng.integers(1, 32)) / 64 for b in balls]
+    terms[big], terms[sub] = 1.0, 1.0 + excess
+    return g, balls, terms, big, sub
+
+
+def test_dominance_keeps_a_ball_tied_with_its_sub_ball(monkeypatch):
+    # Equal terms: the bigger ball sorts first, so it is the one chosen.
+    seen = _recorded_dominance(monkeypatch)
+    g, balls, terms, big, sub = _ball_and_sub_ball_terms(0.0)
+    total, chosen = norms._packed_sup(g, balls, terms, "exact", True)
+    assert (total, chosen) == _list_and_dict_packed_sup(g, balls, terms)
+    assert big in chosen and sub not in chosen
+    assert len(seen) == 1
+
+
+def test_dominance_needs_more_than_the_margin(monkeypatch):
+    # The margin is 4 * 25 * 2^-52 times a term sum above 2, so above 2^-45:
+    # a sub-ball ahead by 2^-46 leaves the bigger ball in the search, one
+    # ahead by 2^-30 drops it.
+    seen = _recorded_dominance(monkeypatch)
+    for excess, dropped in [(2.0**-46, False), (2.0**-30, True)]:
+        g, balls, terms, big, sub = _ball_and_sub_ball_terms(excess)
+        result = norms._packed_sup(g, balls, terms, "exact", True)
+        assert result == _list_and_dict_packed_sup(g, balls, terms)
+        assert sub in result[1]
+        _, _, term_arr, _, dominated = seen[-1]
+        assert dominated[term_arr == 1.0].tolist() == [dropped]
+    assert len(seen) == 2
+
+
+def test_dominance_rule_is_strict_beyond_the_slack():
+    # Row 0 = {0} lies inside row 1 = {0, 1}; row 2 = {2} lies inside neither.
+    words = np.array([[1], [3], [4]], dtype=np.uint64)
+    sizes = np.array([1, 2, 1])
+    for excess, dropped in [(2.0**-41, False), (2.0**-40, False), (2.0**-39, True)]:
+        term_arr = np.array([1.0 + excess, 1.0, 0.5])
+        got = norms._dominated_rows(words, sizes, term_arr, 2.0**-40)
+        assert got.tolist() == [False, dropped, False]
+
+
+def test_dominated_rows_match_brute_force(monkeypatch):
+    # Random 2-D families, some of them on more than 64 points (two words),
+    # with terms in hundredths, some of them raised by a few units of 2^-50:
+    # exact ties, gaps within the margin and gaps far beyond it.
+    seen = _recorded_dominance(monkeypatch)
+    rng = np.random.default_rng(67)
+    for trial in range(8):
+        n = (14, 18, 70, 90)[trial % 4]
+        sp = acceptance.random_space(rng, min_n=n, max_n=n, dim=2)
+        region = _near_region(sp, 14)
+        balls = mj.canonical_balls(sp, region)
+        terms = np.round(rng.uniform(0.0, 1.0, size=len(balls)), 2)
+        terms *= 1.0 + rng.integers(0, 3, size=len(balls)) * 2.0**-50
+        terms = terms.tolist()
+        norms._packed_sup(sp, balls, terms, "exact", True)
+        assert len(seen) == trial + 1
+        _, _, term_arr, slack, dominated = seen[-1]
+        assert slack == 4 * sp.n * 2.0**-52 * float(term_arr.sum())
+        order = sorted((j for j, t in enumerate(terms) if t > 0.0), key=lambda j: -terms[j])
+        members = [set(balls[j].idx) for j in order]
+        expected = [
+            any(members[a] < members[b] and term_arr[a] - term_arr[b] > slack for a in range(len(order)))
+            for b in range(len(order))
+        ]
+        assert dominated.tolist() == expected
+        assert any(expected) and not all(expected)

@@ -330,8 +330,9 @@ def test_doubling_profile_matches_per_radius_loop():
     # All five fields, floats as hex, against the former masked-sum loop:
     # the 300 small acceptance draws (draw 8 is the c_mu = 4.5907 case),
     # larger random spaces, equal weights of 0.1, lines whose distances
-    # tie (spacing 1/64) or split ties by rounding (spacing 1/96), the 8x8
-    # grid, the depth-6 cluster space, one- and two-point spaces, and ties.
+    # tie (the grid of spacing 1/64) or split ties by rounding (coordinates
+    # (i + 1)/96), the 8x8 grid, the depth-6 cluster space, one- and
+    # two-point spaces, and ties.
     rng = np.random.default_rng(0)
     spaces = [acceptance.random_space(rng, max_n=12, min_n=3) for _ in range(300)]
     rng = np.random.default_rng(16)
@@ -340,7 +341,7 @@ def test_doubling_profile_matches_per_radius_loop():
         mj.build_space([f"p{i}" for i in range(n)], [0.1] * n, coords=rng.uniform(0, 3, (n, 1 + n % 2)))
         for n in range(2, 40, 3)
     ]
-    spaces += [mj.grid_space(1, 64, spacing=1.0 / 64), mj.grid_space(1, 96, spacing=1.0 / 96)]
+    spaces += [mj.grid_space(1, 64, spacing=1.0 / 64), line_space([(i + 1) / 96 for i in range(96)])]
     spaces += [mj.grid_space(2, 8), mj.cluster_space(6)]
     spaces += [mj.build_space(["a"], [2.0], coords=[[0.0]]), two_point_space(1.0, 3.0)]
     # Spaces whose worst y attains its largest r^D / mu(B(y, r)) at two
