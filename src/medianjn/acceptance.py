@@ -409,7 +409,7 @@ def _small_packing_instance(rng, max_candidates=12):
             osc = median_oscillation(space, f, ball, s)[0]
             term = space.mu(ball.idx) * osc**p
             if term > 0.0:
-                cand.append((ball.mask, term))
+                cand.append((sum(1 << i for i in ball.idx), term))
         if 1 <= len(cand) <= max_candidates:
             return space, f, s, p, cand
 
@@ -552,18 +552,19 @@ def criterion_07(seed=1007, instances=500) -> CaseResult:
             for _ in range(k)
         ]
         cover = five_cover(space, balls)
-        for a in range(len(cover.selected)):
-            for b in range(a + 1, len(cover.selected)):
-                if cover.selected[a].mask & cover.selected[b].mask:
+        selected = [set(b.idx) for b in cover.selected]
+        for a in range(len(selected)):
+            for b in range(a + 1, len(selected)):
+                if not selected[a].isdisjoint(selected[b]):
                     failures.append(f"#{trial} selected not disjoint")
         for i, ball in enumerate(balls):
             owner = cover.selected[cover.assignment[i]]
             blown = cover.dilates[cover.assignment[i]]
-            if ball.mask & blown.mask != ball.mask:
+            if not set(ball.idx).issubset(blown.idx):
                 failures.append(f"#{trial} ball {i} escapes its 5-dilate")
             if owner.radius < ball.radius - 1e-12:
                 failures.append(f"#{trial} ball {i} assigned to smaller ball")
-            if not (ball.mask & owner.mask):
+            if selected[cover.assignment[i]].isdisjoint(ball.idx):
                 failures.append(f"#{trial} ball {i} misses its owner")
         if failures:
             break

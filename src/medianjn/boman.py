@@ -138,11 +138,12 @@ def verify_boman(space: Space, dec: BomanDecomposition) -> BomanCertificate:
     """
     reports = []
     region = set(space.index(p) for p in dec.region)
+    ball_sets = [set(b.idx) for b in dec.balls]
 
     disjoint, witness = True, ""
     for a in range(len(dec.balls)):
         for b in range(a + 1, len(dec.balls)):
-            if dec.balls[a].mask & dec.balls[b].mask:
+            if not ball_sets[a].isdisjoint(ball_sets[b]):
                 disjoint, witness = False, f"balls {a} and {b} intersect"
                 break
         if not disjoint:
@@ -173,7 +174,8 @@ def verify_boman(space: Space, dec: BomanDecomposition) -> BomanCertificate:
     witness = undefined(C2=dec.c2)
     ok = not witness
     for a, da in enumerate(c2_dilates if ok else ()):
-        count = sum(1 for db in c2_dilates if da.mask & db.mask)
+        meets = set(da.idx)
+        count = sum(1 for db in c2_dilates if not meets.isdisjoint(db.idx))
         if count > dec.overlap:
             ok, witness = False, f"C2 dilate of ball {a} meets {count} > M={dec.overlap}"
             break
@@ -195,6 +197,7 @@ def verify_boman(space: Space, dec: BomanDecomposition) -> BomanCertificate:
 
     witness = undefined(C1=dec.c1)
     ok = not witness
+    ball_mu = [space.mu(b.idx) for b in dec.balls] if ok else []
     for bi in range(len(dec.balls) if ok else 0):
         chain = dec.chains.get(bi) or ()
         for pos in range(1, len(chain)):
@@ -203,14 +206,11 @@ def verify_boman(space: Space, dec: BomanDecomposition) -> BomanCertificate:
                 ok, witness = False, f"missing link {bi}:{pos}"
                 break
             link_idx = [space.index(p) for p in link]
-            inter = c1_dilates[chain[pos]].mask & c1_dilates[chain[pos - 1]].mask
-            if any(not (inter >> i) & 1 for i in link_idx):
+            inter = set(c1_dilates[chain[pos]].idx).intersection(c1_dilates[chain[pos - 1]].idx)
+            if not inter.issuperset(link_idx):
                 ok, witness = False, f"link {bi}:{pos} leaves the C1 intersection"
                 break
-            need = dec.c3 * (
-                space.mu(dec.balls[chain[pos]].idx)
-                + space.mu(dec.balls[chain[pos - 1]].idx)
-            )
+            need = dec.c3 * (ball_mu[chain[pos]] + ball_mu[chain[pos - 1]])
             if space.mu(link_idx) < need * (1.0 - 1e-12):
                 ok, witness = False, (
                     f"link {bi}:{pos} has measure {space.mu(link_idx):.6g} < "
@@ -225,7 +225,7 @@ def verify_boman(space: Space, dec: BomanDecomposition) -> BomanCertificate:
     ok = not witness
     for bi in range(len(dec.balls) if ok else 0):
         for v in dec.chains.get(bi) or ():
-            if dec.balls[bi].mask & rho_dilates[v].mask != dec.balls[bi].mask:
+            if not ball_sets[bi].issubset(rho_dilates[v].idx):
                 ok, witness = False, f"ball {bi} escapes rho * ball {v}"
                 break
         if not ok:
@@ -349,15 +349,12 @@ def _windowed_decomposition(
             return None
         chains[k] = tuple(path)
 
-    c1_dilates = [dilate(space, b, c1) for b in balls]
+    c1_dilates = [set(dilate(space, b, c1).idx) for b in balls]
     links = {}
     for bi, chain in chains.items():
         for p in range(1, len(chain)):
-            inter = c1_dilates[chain[p]].mask & c1_dilates[chain[p - 1]].mask
-            ids = tuple(
-                space.point_ids[i] for i in range(space.n) if (inter >> i) & 1
-            )
-            links[(bi, p)] = ids
+            inter = c1_dilates[chain[p]] & c1_dilates[chain[p - 1]]
+            links[(bi, p)] = tuple(space.point_ids[i] for i in sorted(inter))
 
     rho = 1.5
     for bi, chain in chains.items():
@@ -367,9 +364,9 @@ def _windowed_decomposition(
             )
             rho = max(rho, (d + r0) / r0 * 1.01)
     overlap = 0
-    c2_dilates = [dilate(space, b, c2) for b in balls]
+    c2_dilates = [set(dilate(space, b, c2).idx) for b in balls]
     for da in c2_dilates:
-        overlap = max(overlap, sum(1 for db in c2_dilates if da.mask & db.mask))
+        overlap = max(overlap, sum(1 for db in c2_dilates if not da.isdisjoint(db)))
     return BomanDecomposition(
         region=target_ball.members,
         balls=balls,
@@ -422,6 +419,11 @@ def chain_ratio(space: Space, f, dec: BomanDecomposition, p: float, s: float) ->
     cert = verify_boman(space, dec)
     if not cert.ok:
         raise UnverifiedDecomposition(f"decomposition fails {cert.failing()}")
+    return _chain_ratio(space, f, dec, p, s)
+
+
+def _chain_ratio(space: Space, f, dec: BomanDecomposition, p: float, s: float) -> ChainRatioResult:
+    """``chain_ratio`` on a decomposition already verified."""
     vals = _as_values(space, f)
     c1_dilates = [dilate(space, b, dec.c1) for b in dec.balls]
     m_star = maximal_median(space, f, c1_dilates[dec.central], s)
@@ -504,7 +506,7 @@ def global_jn_verify(
     region_idx = [space.index(pid) for pid in dec.region]
     norm = jn_median_norm(space, f, dec.region, p, s, mode="exact", force=True)
 
-    ratio = chain_ratio(space, f, dec, p, r_center)
+    ratio = _chain_ratio(space, f, dec, p, r_center)
     if c_budget is None:
         c_local = local_jn_constant(p, profile.c_mu)
         c_budget = 2.0**p * c_local * (ratio.c0 + 1.0) * dec.overlap

@@ -38,6 +38,7 @@ def five_cover(space: Space, balls) -> FiveCover:
         range(len(family)),
         key=lambda i: (-family[i].radius, space.index(family[i].center), i),
     )
+    members = [set(b.idx) for b in family]
     assignment = [-1] * len(family)
     selected: list[int] = []
     remaining = set(range(len(family)))
@@ -45,24 +46,22 @@ def five_cover(space: Space, balls) -> FiveCover:
         if i not in remaining:
             continue
         selected.append(i)
-        picked = family[i]
         sel_pos = len(selected) - 1
         for j in list(remaining):
-            if family[j].mask & picked.mask:
+            if not members[j].isdisjoint(members[i]):
                 assignment[j] = sel_pos
                 remaining.discard(j)
 
     chosen = tuple(family[i] for i in selected)
     dilates = tuple(dilate(space, b, 5.0) for b in chosen)
     for j, ball in enumerate(family):
-        cover = dilates[assignment[j]]
-        if ball.mask & cover.mask != ball.mask:
+        if not members[j].issubset(dilates[assignment[j]].idx):
             raise CertificateViolation(
                 f"ball {ball.ball_id()} escapes the 5-dilate of "
                 f"{chosen[assignment[j]].ball_id()}"
             )
-    for a in range(len(chosen)):
-        for b in range(a + 1, len(chosen)):
-            if chosen[a].mask & chosen[b].mask:
+    for a in range(len(selected)):
+        for b in range(a + 1, len(selected)):
+            if not members[selected[a]].isdisjoint(members[selected[b]]):
                 raise CertificateViolation("selected subfamily is not disjoint")
     return FiveCover(selected=chosen, dilates=dilates, assignment=tuple(assignment))

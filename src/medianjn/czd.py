@@ -303,12 +303,13 @@ def cz_decompose(
     witness_index: dict[int, int] = {}
     for x in e_idx:
         required = _containment.get(space.point_ids[x]) if _containment else None
+        need = set(required.idx) if required is not None else set()
         best = None
         for bi in params.point_balls[x]:
             if med[bi] <= lam:
                 continue
             ball = params.family[bi]
-            if required is not None and (ball.mask & required.mask) != required.mask:
+            if not need.issubset(ball.idx):
                 continue
             rank = (-ball.radius, space.index(ball.center), bi)
             if best is None or rank < best[0]:
@@ -420,7 +421,7 @@ def cz_nested(
         low_wpos = low.witness_of[rep]
         low_pos = low.cover.assignment[low_wpos]
         cover_ball = low.cover.dilates[low_pos]
-        if ball.mask & cover_ball.mask != ball.mask:
+        if not set(ball.idx).issubset(cover_ball.idx):
             raise CertificateViolation(
                 f"high ball {ball.ball_id()} escapes 5-dilate of "
                 f"{low.balls[low_pos].ball_id()}"

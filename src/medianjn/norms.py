@@ -12,11 +12,9 @@ prune the search:
 
 * at every node, the sum of all remaining terms;
 * on interval instances, the weighted-interval-scheduling optimum of the
-  remaining candidates, and no other bound: within rounding the two below
-  are weaker there;
-* on other instances, one maximal term per clique of candidates anchored
-  at a shared point, and per remaining point its weight times the best
-  term density mu-rate of any remaining ball containing it.
+  remaining candidates;
+* on all other instances, per remaining point its weight times the best
+  term-per-measure density of any remaining ball containing it.
 
 An interval instance is one where every candidate is a run of consecutive
 points in one point order, the stable distance order from a point farthest
@@ -58,8 +56,9 @@ keeps only the later candidates that share no point with it.  Each
 candidate's member row is packed once into 64-bit words, so that conflict
 test is one AND over the remaining rows per search node.
 
-Greedy mode repeatedly takes the heaviest compatible ball and is a lower
-bound, flagged as such in results.
+Greedy mode repeatedly takes the heaviest ball that misses the points
+taken so far, a Python set, and is a lower bound, flagged as such in
+results; exact mode starts from its total.
 
 For q <= 1 the integral oscillation of a whole ball family comes from one
 kernel call, ``_integral_rows``.  A sample value minimizes the objective,
@@ -337,16 +336,6 @@ def bmo_median_norm(space: Space, f, region, s: float) -> float:
 # ---------------------------------------------------------------- packing
 
 
-def _greedy_pack(order, masks):
-    used = 0
-    chosen = []
-    for j in order:
-        if masks[j] & used == 0:
-            used |= masks[j]
-            chosen.append(j)
-    return chosen
-
-
 def _interval_rows(space: Space, member_matrix: np.ndarray, term_arr: np.ndarray):
     """Candidates as rank intervals in one point order, or None if one is not a run.
 
@@ -419,9 +408,12 @@ def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
     if not live:
         return 0.0, []
     order = sorted(live, key=lambda j: -terms[j])
-    masks = [balls[j].mask for j in order]
     term_arr = np.array([terms[j] for j in order])
-    greedy = _greedy_pack(range(len(order)), masks)
+    used, greedy = set(), []
+    for row, j in enumerate(order):
+        if used.isdisjoint(balls[j].idx):
+            used.update(balls[j].idx)
+            greedy.append(row)
     greedy_total = float(term_arr[greedy].sum())
     if mode == "greedy":
         return greedy_total, [order[j] for j in greedy]
@@ -440,12 +432,6 @@ def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
         np.concatenate([balls[j].idx for j in order]),
     ] = True
     density = term_arr / member_matrix.dot(space.weights)
-    # Anchor every candidate at its most shared member point, the lowest
-    # index among equals: candidates with a common anchor are pairwise
-    # intersecting, so each clique contributes at most one ball to any packing.
-    by_count = np.argsort(-member_matrix.sum(axis=0), kind="stable")
-    anchor_table = np.zeros((m, n), dtype=bool)
-    anchor_table[np.arange(m), by_count[member_matrix[:, by_count].argmax(axis=1)]] = True
     # Member rows padded to whole 64-bit words, for the per-node conflict test.
     words = np.packbits(np.pad(member_matrix, ((0, 0), (0, -n % 64))), axis=1).view(np.uint64)
 
@@ -476,12 +462,6 @@ def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
             floor = reach * (1.0 - margin)
         return (current + reach) * (1.0 + margin) <= max(best_total, floor)
 
-    def clique_bound(rem):
-        # Rows run by decreasing term, so the first remaining row at an
-        # anchor carries that clique's largest term.
-        table = anchor_table[rem]
-        return float(term_arr[rem[table.argmax(axis=0)[table.any(axis=0)]]].sum())
-
     def density_bound(rem):
         # Remaining rows miss every chosen point, so no free-point mask.
         per_point = (member_matrix[rem] * density[rem, None]).max(axis=0)
@@ -501,7 +481,7 @@ def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
             if intervals is not None:
                 if interval_pruned(rem, current):
                     return
-            elif clique_bound(rem) <= slack or density_bound(rem) <= slack:
+            elif density_bound(rem) <= slack:
                 return
             j = rem[0]
             tail = rem[1:]

@@ -36,6 +36,7 @@ x's radii R needs only the first pair with y in B(x, R) and r <= R.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -115,16 +116,16 @@ class Space:
 class Ball:
     """A metric ball: center id, radius, and its materialized member set.
 
-    ``members`` lists point ids in the order of the space's point list;
-    ``idx`` carries the matching integer indices and ``mask`` the same set
-    as a bitmask over point positions.
+    ``idx`` lists the member point indices in increasing order and
+    ``members`` the matching point ids.  It is the only stored encoding of
+    the set: a conflict or containment test builds the set it needs from
+    ``idx`` where it runs.
     """
 
     center: str
     radius: float
     members: tuple[str, ...]
     idx: tuple[int, ...]
-    mask: int
 
     @property
     def size(self) -> int:
@@ -165,15 +166,18 @@ def _point_ids(space: Space) -> np.ndarray:
 
 
 def _make_ball(space: Space, center_idx: int, radius: float) -> Ball:
-    inside = space.dist[center_idx] < radius
-    sel = np.flatnonzero(inside)
+    sel = np.flatnonzero(space.dist[center_idx] < radius)
     return Ball(
         center=space.point_ids[center_idx],
         radius=float(radius),
         members=tuple(_point_ids(space)[sel].tolist()),
         idx=tuple(sel.tolist()),
-        mask=int.from_bytes(np.packbits(inside, bitorder="little").tobytes(), "little"),
     )
+
+
+def _euclidean(coords: np.ndarray) -> np.ndarray:
+    diff = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 def build_space(point_ids, weights, *, coords=None, distances=None) -> Space:
@@ -210,8 +214,7 @@ def build_space(point_ids, weights, *, coords=None, distances=None) -> Space:
             c_arr = c_arr[:, None]
         if c_arr.shape[0] != len(ids):
             raise InvalidParameter("coords must match the number of points")
-        diff = c_arr[:, None, :] - c_arr[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=-1))
+        dist = _euclidean(c_arr)
     else:
         dist = np.asarray(distances, dtype=float)
         if dist.shape != (len(ids), len(ids)):
@@ -353,7 +356,6 @@ def _prefix_balls(space: Space, centers, budget=None, inside=None) -> tuple[Ball
 
     ids = _point_ids(space)
     pids = space.point_ids
-    row_bytes = 8 * n_words
     step = max(1, _UNPACK_ELEMS // n)
     balls = []
     for a in range(0, len(keep), step):
@@ -361,7 +363,6 @@ def _prefix_balls(space: Space, centers, budget=None, inside=None) -> tuple[Ball
         cols = np.nonzero(np.unpackbits(block.view(np.uint8), axis=1, count=n, bitorder="little"))[1]
         idx_list = cols.tolist()
         id_list = ids[cols].tolist()
-        raw = block.tobytes()
         lo = 0
         for t, hi in enumerate(np.cumsum(sizes[a : a + step]).tolist()):
             balls.append(
@@ -370,7 +371,6 @@ def _prefix_balls(space: Space, centers, budget=None, inside=None) -> tuple[Ball
                     radius=radii_kept[a + t],
                     members=tuple(id_list[lo:hi]),
                     idx=tuple(idx_list[lo:hi]),
-                    mask=int.from_bytes(raw[t * row_bytes : (t + 1) * row_bytes], "little"),
                 )
             )
             lo = hi
@@ -512,13 +512,20 @@ def doubling_profile(space: Space) -> DoublingProfile:
 # ---------------------------------------------------------------- JSON
 
 def space_to_json(space: Space) -> dict:
+    """Points with weights (and coordinates, if any) plus the metric.
+
+    Coordinates alone stand for the metric only when their Euclidean
+    distances reproduce ``space.dist`` bit for bit; otherwise (a grid with
+    a non-dyadic spacing, whose distances are lattice distances times the
+    spacing) the matrix is written next to them.
+    """
     points = []
     for i, pid in enumerate(space.point_ids):
         entry = {"id": pid, "weight": float(space.weights[i])}
         if space.coords is not None:
             entry["coords"] = [float(v) for v in space.coords[i]]
         points.append(entry)
-    if space.coords is not None:
+    if space.coords is not None and np.array_equal(_euclidean(space.coords), space.dist):
         metric = {"kind": "euclidean"}
     else:
         metric = {"kind": "matrix", "distances": [[float(v) for v in row] for row in space.dist]}
@@ -526,6 +533,7 @@ def space_to_json(space: Space) -> dict:
 
 
 def space_from_json(obj) -> Space:
+    """Inverse of ``space_to_json``; coordinates given with a matrix are kept."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     points = obj["points"]
@@ -536,5 +544,9 @@ def space_from_json(obj) -> Space:
         coords = [p["coords"] for p in points]
         return build_space(ids, weights, coords=coords)
     if metric["kind"] == "matrix":
-        return build_space(ids, weights, distances=metric["distances"])
+        space = build_space(ids, weights, distances=metric["distances"])
+        if all("coords" in p for p in points):
+            coords = build_space(ids, weights, coords=[p["coords"] for p in points]).coords
+            space = dataclasses.replace(space, coords=coords)
+        return space
     raise InvalidParameter(f"unknown metric kind {metric['kind']!r}")

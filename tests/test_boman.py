@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import medianjn as mj
+from medianjn import boman
 from medianjn.errors import ConstructionFailed, InvalidS, UnknownBall, UnverifiedDecomposition
 
 from util import fn, random_space
@@ -176,3 +177,59 @@ def test_non_positive_dilation_fails_certificate(grid32, dec32):
     assert witness["i-union"] == witness["iv-links"] == "no dilate by non-positive C1=0.0"
     cert = mj.verify_boman(grid32, dataclasses.replace(dec32, c2=-1.0, rho=0.0))
     assert cert.failing() == ("i-union", "ii-overlap", "v-absorption", "parameters")
+
+
+def _failures(space, dec):
+    return [(c.name, c.witness) for c in mj.verify_boman(space, dec).conditions if not c.passed]
+
+
+def test_tampered_decomposition_witnesses(grid32, dec32):
+    # Every failing condition and its witness string, as the certificate prints them.
+    links = dict(dec32.links)
+    far = dec32.balls[-1].members[-1]
+    wide = mj.ball_at(grid32, dec32.balls[0].center, 3 / 32)
+    cases = [
+        (dataclasses.replace(dec32, balls=(wide, *dec32.balls[1:])), [
+            ("disjoint", "balls 0 and 1 intersect"),
+            ("ii-overlap", "C2 dilate of ball 0 meets 24 > M=13"),
+            ("iv-links", "link 0:15 has measure 3 < C3 (mu+mu) = 6"),
+        ]),
+        (dataclasses.replace(dec32, region=dec32.region[:-1]), [
+            ("i-union", "C1 union != region, C2 union != region"),
+        ]),
+        (dataclasses.replace(dec32, overlap=2), [
+            ("ii-overlap", "C2 dilate of ball 0 meets 7 > M=2"),
+        ]),
+        (dataclasses.replace(dec32, links={**links, (0, 1): (*links[(0, 1)], far)}), [
+            ("iv-links", "link 0:1 leaves the C1 intersection"),
+        ]),
+        (dataclasses.replace(dec32, links={**links, (0, 1): links[(0, 1)][:1]}), [
+            ("iv-links", "link 0:1 has measure 1 < C3 (mu+mu) = 3"),
+        ]),
+        (dataclasses.replace(dec32, rho=1.01), [
+            ("v-absorption", "ball 0 escapes rho * ball 15"),
+        ]),
+    ]
+    for bad, expected in cases:
+        assert _failures(grid32, bad) == expected
+    # Random weights: measures that are not integers.
+    g = mj.grid_space(1, 32, spacing=1 / 32, weight_profile="random", seed=3)
+    dec = mj.grid_boman_decomposition(g, mj.ball_at(g, "p15", 10.0))
+    short = dataclasses.replace(dec, links={**dec.links, (3, 2): dec.links[(3, 2)][:1]})
+    assert _failures(g, short) == [
+        ("iv-links", "link 3:2 has measure 0.930628 < C3 (mu+mu) = 3.48695")
+    ]
+    assert _failures(g, dataclasses.replace(dec, c3=2.5)) == [
+        ("iv-links", "link 0:1 has measure 4.5651 < C3 (mu+mu) = 6.73526")
+    ]
+
+
+def test_global_verify_checks_the_decomposition_once(grid32, dec32, monkeypatch):
+    calls = []
+    verify = boman.verify_boman
+    monkeypatch.setattr(boman, "verify_boman", lambda *a: calls.append(a) or verify(*a))
+    f = mj.canonical_function("log_blowup", grid32)
+    mj.global_jn_verify(grid32, f, dec32, 2.0, 0.0005, 0.5)
+    assert len(calls) == 1
+    mj.chain_ratio(grid32, f, dec32, 2.0, 0.5)
+    assert len(calls) == 2

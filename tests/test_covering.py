@@ -51,13 +51,13 @@ def test_random_families():
         cover = mj.five_cover(sp, balls)
         for i in range(len(cover.selected)):
             for j in range(i + 1, len(cover.selected)):
-                assert not cover.selected[i].mask & cover.selected[j].mask
+                assert set(cover.selected[i].idx).isdisjoint(cover.selected[j].idx)
         for i, ball in enumerate(balls):
             owner = cover.selected[cover.assignment[i]]
-            assert ball.mask & owner.mask, "assigned ball must intersect its owner"
+            assert set(ball.idx) & set(owner.idx), "assigned ball must intersect its owner"
             assert owner.radius >= ball.radius - 1e-12
             blown = cover.dilates[cover.assignment[i]]
-            assert ball.mask & blown.mask == ball.mask
+            assert set(ball.idx) <= set(blown.idx)
 
 
 def test_deterministic_under_repeat():

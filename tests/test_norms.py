@@ -220,11 +220,11 @@ def test_packing_disjointness_and_region():
     f = fn(sp, rng.normal(size=sp.n))
     region = [sp.point_ids[i] for i in range(sp.n - 1)]
     res = mj.jn_median_norm(sp, f, region, 2.0, 0.25, mode="exact", force=True)
-    used = 0
+    used = set()
     region_idx = {sp.index(p) for p in region}
     for b in res.packing.balls:
-        assert used & b.mask == 0
-        used |= b.mask
+        assert used.isdisjoint(b.idx)
+        used.update(b.idx)
         assert set(b.idx) <= region_idx
 
 
@@ -304,7 +304,7 @@ def _list_and_dict_packed_sup(space, balls, terms):
         live,
         key=lambda j: (-terms[j], space.index(balls[j].center), balls[j].radius),
     )
-    masks = [balls[j].mask for j in order]
+    masks = [sum(1 << i for i in balls[j].idx) for j in order]
     term_arr = np.array([terms[j] for j in order])
     used, greedy = 0, []
     for j in range(len(order)):
@@ -553,7 +553,8 @@ def _ball_and_sub_ball_terms(excess):
     big = next(j for j, b in enumerate(balls) if b.members == ("p0", "p1", "p5"))
     sub = next(j for j, b in enumerate(balls) if b.members == ("p1",))
     rng = np.random.default_rng(61)
-    terms = [0.0 if b.mask & balls[big].mask else int(rng.integers(1, 32)) / 64 for b in balls]
+    near = set(balls[big].idx)
+    terms = [0.0 if near.intersection(b.idx) else int(rng.integers(1, 32)) / 64 for b in balls]
     terms[big], terms[sub] = 1.0, 1.0 + excess
     return g, balls, terms, big, sub
 

@@ -179,13 +179,11 @@ def test_doubling_counts_every_center():
 
 
 def test_ball_fields_past_one_word():
-    # 72 points, so member masks need two 64-bit words.
+    # 72 points, so member rows need two 64-bit words.
     rng = np.random.default_rng(14)
     sp = random_space(rng, min_n=72, max_n=72, dim=2)
     balls = mj.canonical_balls(sp)
-    assert max(b.mask for b in balls).bit_length() == 72
     for b in balls:
-        assert b.mask == sum(1 << i for i in b.idx)
         assert b.members == tuple(sp.point_ids[i] for i in b.idx)
 
 
@@ -224,7 +222,8 @@ def _old_canonical_balls(space, region_idx):
     for i in region_idx:
         outside ^= 1 << i
     return _old_distinct_balls(
-        ((ci, b) for ci in region_idx for b in _old_center_balls(space, ci) if not b.mask & outside),
+        ((ci, b) for ci in region_idx for b in _old_center_balls(space, ci)
+         if not sum(1 << i for i in b.idx) & outside),
         lambda ci, b: (ci, -b.radius),
     )
 
@@ -238,7 +237,7 @@ def _old_cz_family(space, b0, eta):
 
 
 def _fields(balls):
-    return [(b.center, b.radius.hex(), b.members, b.idx, b.mask) for b in balls]
+    return [(b.center, b.radius.hex(), b.members, b.idx) for b in balls]
 
 
 def test_prefix_enumeration_matches_per_center_loop():
@@ -367,6 +366,24 @@ def test_space_json_roundtrip():
     matrix_sp = mj.build_space(["a", "b"], [1, 2], distances=[[0, 1], [1, 0]])
     back2 = mj.space_from_json(mj.space_to_json(matrix_sp))
     assert np.allclose(back2.dist, matrix_sp.dist)
+
+
+def test_grid_json_keeps_lattice_ties():
+    # Spacing 1/96 is not dyadic: the coordinates alone would split equal
+    # lattice distances, so the matrix is written next to them.
+    grid = mj.grid_space(1, 96, spacing=1 / 96)
+    payload = mj.space_to_json(grid)
+    assert payload["metric"]["kind"] == "matrix"
+    back = mj.space_from_json(payload)
+    assert np.array_equal(back.dist, grid.dist)
+    assert np.array_equal(back.coords, grid.coords)
+    assert mj.doubling_profile(back).c_mu == 3.0
+    # Dyadic spacings round-trip through the coordinates alone.
+    for dim, n, spacing in ((1, 64, 1 / 64), (2, 8, 1.0), (1, 9, 1 / 4)):
+        grid = mj.grid_space(dim, n, spacing=spacing)
+        payload = mj.space_to_json(grid)
+        assert payload["metric"] == {"kind": "euclidean"}
+        assert np.array_equal(mj.space_from_json(payload).dist, grid.dist)
 
 
 def test_duplicate_points_rejected():
