@@ -181,6 +181,9 @@ def verify_boman(space: Space, dec: BomanDecomposition) -> BomanCertificate:
             break
     reports.append(ConditionReport("ii-overlap", ok, witness))
 
+    def leaves_family(chain):
+        return any(not (0 <= v < len(dec.balls)) for v in chain)
+
     ok, witness = True, ""
     for bi in range(len(dec.balls)):
         chain = dec.chains.get(bi)
@@ -190,7 +193,7 @@ def verify_boman(space: Space, dec: BomanDecomposition) -> BomanCertificate:
         if chain[0] != dec.central or chain[-1] != bi:
             ok, witness = False, f"chain of ball {bi} must run central -> ball"
             break
-        if any(not (0 <= v < len(dec.balls)) for v in chain):
+        if leaves_family(chain):
             ok, witness = False, f"chain of ball {bi} leaves the family"
             break
     reports.append(ConditionReport("iii-chains", ok, witness))
@@ -200,6 +203,9 @@ def verify_boman(space: Space, dec: BomanDecomposition) -> BomanCertificate:
     ball_mu = [space.mu(b.idx) for b in dec.balls] if ok else []
     for bi in range(len(dec.balls) if ok else 0):
         chain = dec.chains.get(bi) or ()
+        if leaves_family(chain):
+            ok, witness = False, f"chain of ball {bi} leaves the family"
+            break
         for pos in range(1, len(chain)):
             link = dec.links.get((bi, pos))
             if link is None:
@@ -224,7 +230,11 @@ def verify_boman(space: Space, dec: BomanDecomposition) -> BomanCertificate:
     witness = undefined(rho=dec.rho)
     ok = not witness
     for bi in range(len(dec.balls) if ok else 0):
-        for v in dec.chains.get(bi) or ():
+        chain = dec.chains.get(bi) or ()
+        if leaves_family(chain):
+            ok, witness = False, f"chain of ball {bi} leaves the family"
+            break
+        for v in chain:
             if not ball_sets[bi].issubset(rho_dilates[v].idx):
                 ok, witness = False, f"ball {bi} escapes rho * ball {v}"
                 break

@@ -7,6 +7,7 @@ report names it), 2 input or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -185,6 +186,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criteria", help="comma-separated criterion numbers (default all)")
     p.add_argument("--output", choices=("json", "text"), default="text")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused by later ones.
+
+    Building it makes about a hundred help formatters; in-process callers
+    that run many commands pay that once.  No argument has a mutable
+    default, so each parse starts from the same state.
+    """
+    return build_parser()
 
 
 def _run(args) -> int:
@@ -372,9 +384,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -49,7 +49,8 @@ from .space import (
     Ball,
     DoublingProfile,
     Space,
-    _prefix_balls,
+    _family_balls,
+    _prefix_family,
     dilate,
     doubling_profile,
 )
@@ -78,7 +79,7 @@ def cz_family(space: Space, b0: Ball, eta: float) -> tuple[Ball, ...]:
     if b0.size == 0:
         raise EmptyBase("cz_family needs a nonempty base ball")
     budget = eta * b0.radius
-    return _prefix_balls(space, b0.idx, budget=budget)
+    return _family_balls(space, _prefix_family(space, b0.idx, budget=budget))
 
 
 def _s0(profile: DoublingProfile, alpha: float) -> float:

@@ -34,19 +34,20 @@ for each set exactly the bits of the one-set computation:
   ``power`` can differ from ``**`` in the last bit.
 
 The sign of a zero center c is that of the lowest-index member holding
-the value.  Rows are processed in blocks of bounded padded size.
+the value.  Each set comes as a row of packed member words, as a ball
+family stores it, and rows are unpacked in index order in blocks of
+bounded padded size.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .errors import EmptySet, InvalidParameter, InvalidS
-from .space import Space, _resolve_region
+from .space import Space, _member_indices, _resolve_region
 
 # Padded (rows x width) elements per block of the batched shorth kernel.
 _BLOCK_ELEMS = 1 << 14
@@ -158,25 +159,28 @@ def median_oscillation(space: Space, f, subset, s: float) -> tuple[float, float]
         hit = f._cache.get(key)
         if hit is not None:
             return hit
-    osc, c, _ = _shorth_rows(_as_values(space, f), space.weights, [q.idx], q.s)
+    members, sizes = np.array(q.idx, dtype=np.intp), np.array([len(q.idx)])
+    osc, c, _ = _shorth_block(_as_values(space, f), space.weights, members, sizes, q.s)
     result = (float(osc[0]), float(c[0]))
     if isinstance(f, SampleFunction):
         f._cache[key] = result
     return result
 
 
-def _shorth_rows(values: np.ndarray, weights: np.ndarray, rows, s: float):
+def _shorth_rows(values: np.ndarray, weights: np.ndarray, words, sizes, s: float):
     """Kernel: median oscillation, its center and the measure of many sets.
 
-    ``rows`` lists the point indices of each set.  Returns three float
-    arrays (osc, c, mu) in row order, each entry equal to what the one-set
-    computation gives: the leftmost shortest window [u_i, u_j] of sorted
-    distinct values whose outside mass passes total - mu[u_i, u_j] <
-    s * total, with c its midpoint; (0, u) for a single value; the
-    half-range at the midrange when s * total <= min weight.
+    Each set is a row of packed member ``words`` (a ball family's bit
+    layout) with its size in ``sizes``; a block's members are unpacked in
+    index order.  Returns three float arrays (osc, c, mu) in row order,
+    each entry equal to what the one-set computation gives: the leftmost
+    shortest window [u_i, u_j] of sorted distinct values whose outside
+    mass passes total - mu[u_i, u_j] < s * total, with c its midpoint;
+    (0, u) for a single value; the half-range at the midrange when
+    s * total <= min weight.
     """
-    sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    m = len(rows)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    m = len(sizes)
     osc, c, mu = np.empty(m), np.empty(m), np.empty(m)
     # Blocks of rows by increasing size keep the padding small and every
     # block's (rows x width) temporaries under _BLOCK_ELEMS.
@@ -188,21 +192,24 @@ def _shorth_rows(values: np.ndarray, weights: np.ndarray, rows, s: float):
         while b - a > 1 and (b - a) * ordered[b - 1] > _BLOCK_ELEMS:
             b = a + max(1, _BLOCK_ELEMS // int(ordered[b - 1]))
         sel = by_size[a:b]
-        block = [rows[j] for j in sel.tolist()]
-        osc[sel], c[sel], mu[sel] = _shorth_block(values, weights, block, ordered[a:b], s)
+        members = _member_indices(words[sel], len(values))
+        osc[sel], c[sel], mu[sel] = _shorth_block(values, weights, members, ordered[a:b], s)
         a = b
     return osc, c, mu
 
 
-def _shorth_block(values, weights, block, sizes, s):
-    """``_shorth_rows`` on rows sorted by size, padded to the largest."""
+def _shorth_block(values, weights, members, sizes, s):
+    """``_shorth_rows`` on rows sorted by size, padded to the largest.
+
+    ``members`` concatenates the rows' member indices, each in index order.
+    """
     r, k = len(sizes), int(sizes[-1])
     rows = np.arange(r)
     col = np.arange(k)
     base = (rows * k)[:, None]  # flat offset of each row
     pad = col >= sizes[:, None]
     pts = np.zeros((r, k), dtype=np.intp)
-    pts[~pad] = np.fromiter(chain.from_iterable(block), dtype=np.intp, count=int(sizes.sum()))
+    pts[~pad] = members
 
     # mu(B) and the lightest weight, one C-contiguous array per ball size:
     # its row sums are the same pairwise sums as weights[idx].sum().

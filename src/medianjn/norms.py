@@ -5,10 +5,11 @@ every canonical ball inside it gets a nonnegative term (measure times a
 power of its oscillation), and the norm is the p-th root of the maximum
 total term over pairwise-disjoint ball collections.  Exact mode solves the
 weighted set-packing problem by depth-first branch and bound over balls
-sorted by decreasing term.  Every caller passes a ``canonical_balls``
-family, which comes in (center index, radius) order, so a stable sort on
-the term alone breaks ties by center and radius.  Admissible upper bounds
-prune the search:
+sorted by decreasing term.  The norms read the canonical family of the
+region as arrays (``space._canonical_family``: center index, radius, size
+and packed member words per ball), in (center index, radius) order, so a
+stable sort on the term alone breaks ties by center and radius.
+Admissible upper bounds prune the search:
 
 * at every node, the sum of all remaining terms;
 * on interval instances, the weighted-interval-scheduling optimum of the
@@ -52,19 +53,23 @@ Member rows are compared as packed words, in tiles of at most half
 ``_BLOCK_ELEMS`` elements.
 
 Every remaining ball is disjoint from every chosen one: including a ball
-keeps only the later candidates that share no point with it.  Each
-candidate's member row is packed once into 64-bit words, so that conflict
-test is one AND over the remaining rows per search node.
+keeps only the later candidates that share no point with it.  The
+candidates' member words are the family's rows reordered by term, so that
+conflict test is one AND over the remaining rows per search node; the
+member matrix of the bounds is the same rows unpacked.
 
-Greedy mode repeatedly takes the heaviest ball that misses the points
-taken so far, a Python set, and is a lower bound, flagged as such in
-results; exact mode starts from its total.
+Greedy mode repeatedly takes the heaviest remaining ball and drops the
+candidates it meets, by the same AND.  It is a lower bound, flagged as
+such in results; exact mode starts from its total.  ``Ball`` objects are
+built only for the returned packing.
 
-For q <= 1 the integral oscillation of a whole ball family comes from one
-kernel call, ``_integral_rows``.  A sample value minimizes the objective,
-so each ball scores every one of its values, stably sorted, in one array
-operation, and the first minimum wins: the smallest minimizing c, whose
-sign, when it is zero, is that of the lowest-index member holding it.
+Oscillations of a whole family come from one kernel call, whose member
+rows are unpacked from the family's words in index order, block by block.
+For q <= 1 the integral oscillation uses ``_integral_rows``.  A sample
+value minimizes the objective, so each ball scores every one of its
+values, stably sorted, in one array operation, and the first minimum
+wins: the smallest minimizing c, whose sign, when it is zero, is that of
+the lowest-index member holding it.
 Every objective, measure and total is a row sum over a C-contiguous last
 axis, the same pairwise sum as the one-ball ``.sum()``, so the values
 keep their bits.  ``jn_integral_norm`` makes one such call per
@@ -93,7 +98,19 @@ from .median import (
     _shorth_rows,
     weighted_maximal_median,
 )
-from .space import Ball, Space, _distance_order, _resolve_region, canonical_balls
+from .space import (
+    Ball,
+    Space,
+    _BallFamily,
+    _canonical_family,
+    _distance_order,
+    _family_balls,
+    _member_indices,
+    _member_matrix,
+    _member_rows,
+    _resolve_region,
+    canonical_balls,
+)
 
 EXACT_MODE_LIMIT = 32
 
@@ -204,7 +221,7 @@ def integral_oscillation(space: Space, f, subset, q: float) -> tuple[float, floa
 
     For q <= 1 the objective is concave (q < 1) or linear (q = 1) between
     consecutive sample values, so a sample value attains the infimum: this
-    is a one-set call of the family kernel ``_integral_rows``, and c is the
+    is a one-set block of the family kernel ``_integral_rows``, and c is the
     smallest minimizing sample value, a zero c taking the sign of the
     lowest-index member that holds it.  For q > 1 the objective is convex:
     a golden-section search bracketed by [min f, max f] joins the sample
@@ -217,7 +234,8 @@ def integral_oscillation(space: Space, f, subset, q: float) -> tuple[float, floa
     if len(idx) == 0:
         raise EmptySet("oscillation over an empty set")
     if q <= 1.0:
-        osc, c, _ = _integral_rows(_as_values(space, f), space.weights, [idx], q)
+        pts = np.array([idx], dtype=np.intp)
+        osc, c, _ = _integral_block(_as_values(space, f), space.weights, pts, q)
         return (float(osc[0]), float(c[0]))
     idx = list(idx)
     vals = _as_values(space, f)[idx]
@@ -239,22 +257,22 @@ def integral_oscillation(space: Space, f, subset, q: float) -> tuple[float, floa
     return (float(best_val), float(best_c))
 
 
-def _integral_rows(values: np.ndarray, weights: np.ndarray, rows, q: float):
+def _integral_rows(values: np.ndarray, weights: np.ndarray, words, sizes, q: float):
     """Kernel: q <= 1 integral oscillation, its center and the measure of many sets.
 
-    ``rows`` lists the point indices of each set.  Returns three float
-    arrays (osc, c, mu) in row order.  Per set, the objective
-    sum(wn * |v - c|^q) is evaluated at every sample value c in stable
-    sorted order, and the first minimum wins: the least value at the
-    smallest minimizing c, (0, v) for a constant set.  Sets of one size k
-    go in blocks whose (rows x k x k) objective array stays under
-    ``_BLOCK_ELEMS`` (candidates are split for larger k).  Each
-    objective is a row sum over a C-contiguous last axis, the same
-    pairwise sum as the 1-D ``.sum()`` of one set, and so are mu and the
-    normalizing total.
+    Each set is a row of packed member ``words`` with its size in
+    ``sizes``, as for ``_shorth_rows``.  Returns three float arrays (osc,
+    c, mu) in row order.  Per set, the objective sum(wn * |v - c|^q) is
+    evaluated at every sample value c in stable sorted order, and the
+    first minimum wins: the least value at the smallest minimizing c,
+    (0, v) for a constant set.  Sets of one size k go in blocks whose
+    (rows x k x k) objective array stays under ``_BLOCK_ELEMS``
+    (candidates are split for larger k).  Each objective is a row sum
+    over a C-contiguous last axis, the same pairwise sum as the 1-D
+    ``.sum()`` of one set, and so are mu and the normalizing total.
     """
-    m = len(rows)
-    sizes = np.fromiter(map(len, rows), dtype=np.intp, count=m)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    m = len(sizes)
     osc, c, mu = np.empty(m), np.empty(m), np.empty(m)
     by_size = np.argsort(sizes, kind="stable")
     cuts = [0, *(np.flatnonzero(np.diff(sizes[by_size])) + 1).tolist(), m]
@@ -263,63 +281,71 @@ def _integral_rows(values: np.ndarray, weights: np.ndarray, rows, q: float):
         step = max(1, _BLOCK_ELEMS // (k * k))
         for a in range(lo, hi, step):
             sel = by_size[a : min(a + step, hi)]
-            pts = np.array([rows[j] for j in sel.tolist()], dtype=np.intp).reshape(len(sel), k)
-            v, w = values[pts], weights[pts]
-            mu[sel] = w.sum(axis=1)
-            wn = w / mu[sel, None]
-            cands = np.sort(v, axis=1, kind="stable")
-            obj = np.empty((len(sel), k))
-            per = max(1, _BLOCK_ELEMS // (len(sel) * k))
-            for b in range(0, k, per):
-                dev = np.abs(v[:, None, :] - cands[:, b : b + per, None]) ** q
-                obj[:, b : b + per] = (wn[:, None, :] * dev).sum(axis=2)
-            osc[sel] = obj.min(axis=1)
-            c[sel] = cands[np.arange(len(sel)), obj.argmin(axis=1)]
+            pts = _member_indices(words[sel], len(values)).reshape(len(sel), k)
+            osc[sel], c[sel], mu[sel] = _integral_block(values, weights, pts, q)
     return osc, c, mu
 
 
+def _integral_block(values: np.ndarray, weights: np.ndarray, pts: np.ndarray, q: float):
+    """``_integral_rows`` on sets of one size, the rows of the index array ``pts``."""
+    r, k = pts.shape
+    v, w = values[pts], weights[pts]
+    mu = w.sum(axis=1)
+    wn = w / mu[:, None]
+    cands = np.sort(v, axis=1, kind="stable")
+    obj = np.empty((r, k))
+    per = max(1, _BLOCK_ELEMS // (r * k))
+    for b in range(0, k, per):
+        dev = np.abs(v[:, None, :] - cands[:, b : b + per, None]) ** q
+        obj[:, b : b + per] = (wn[:, None, :] * dev).sum(axis=2)
+    return obj.min(axis=1), cands[np.arange(r), obj.argmin(axis=1)], mu
+
+
 def _cached_family(space: Space, f, idx: tuple[int, ...], key: tuple, compute):
-    """Canonical balls inside a region and ``compute(balls)``.
+    """The canonical family inside a region and ``compute(family)``.
 
     One call per (region, key); a SampleFunction keeps the result.
     """
-    balls = canonical_balls(space, idx)
+    family = _canonical_family(space, idx)
     key = (*key, idx)
     if isinstance(f, SampleFunction):
         hit = f._cache.get(key)
         if hit is not None:
-            return balls, hit
-    hit = compute(balls)
+            return family, hit
+    hit = compute(family)
     if isinstance(f, SampleFunction):
         f._cache[key] = hit
-    return balls, hit
+    return family, hit
 
 
 def _family_oscillations(space: Space, f, idx: tuple[int, ...], s: float):
-    """Canonical balls inside a region with their median oscillations and measures."""
+    """The canonical family inside a region with its median oscillations and measures."""
 
-    def compute(balls):
-        osc, _, mu = _shorth_rows(_as_values(space, f), space.weights, [b.idx for b in balls], s)
+    def compute(family):
+        osc, _, mu = _shorth_rows(
+            _as_values(space, f), space.weights, family.words, family.sizes, s
+        )
         return osc.tolist(), mu.tolist()
 
     return _cached_family(space, f, idx, ("osc_family", float(s)), compute)
 
 
 def _family_integral_oscillations(space: Space, f, idx: tuple[int, ...], q: float):
-    """Canonical balls inside a region with their integral oscillations and measures.
+    """The canonical family inside a region with its integral oscillations and measures.
 
     For q <= 1 one kernel call covers the family; q > 1 runs per ball.
     """
 
-    def compute(balls):
+    def compute(family):
         if q <= 1.0:
             osc, _, mu = _integral_rows(
-                _as_values(space, f), space.weights, [b.idx for b in balls], q
+                _as_values(space, f), space.weights, family.words, family.sizes, q
             )
             return osc.tolist(), mu.tolist()
+        rows = list(_member_rows(family.words, family.sizes, space.n))
         return (
-            [integral_oscillation(space, f, b, q)[0] for b in balls],
-            [space.mu(b.idx) for b in balls],
+            [integral_oscillation(space, f, row, q)[0] for row in rows],
+            [space.mu(row) for row in rows],
         )
 
     return _cached_family(space, f, idx, ("iosc_family", float(q)), compute)
@@ -395,25 +421,29 @@ def _dominated_rows(words: np.ndarray, sizes: np.ndarray, term_arr: np.ndarray, 
     return dominated
 
 
-def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
-    """Maximize the total term over pairwise-disjoint balls.
+def _packed_sup(space: Space, family: _BallFamily, terms, mode: str, force: bool):
+    """Maximize the total term over pairwise-disjoint balls of a family.
 
-    Returns (total, chosen ball indices).  ``balls``/``terms`` must be
-    parallel, and ``balls`` in (center index, radius) order, as
-    ``canonical_balls`` returns them: a stable sort by decreasing term then
-    breaks ties by center and radius.  Zero-term balls never help and are
-    dropped up front.
+    Returns (total, chosen family rows).  ``terms`` is parallel to the
+    rows, which come in (center index, radius) order: a stable sort by
+    decreasing term then breaks ties by center and radius.  Zero-term
+    balls never help and are dropped up front.
     """
-    live = [j for j, t in enumerate(terms) if t > 0.0]
-    if not live:
+    all_terms = np.asarray(terms, dtype=float)
+    live = np.flatnonzero(all_terms > 0.0)
+    if not len(live):
         return 0.0, []
-    order = sorted(live, key=lambda j: -terms[j])
-    term_arr = np.array([terms[j] for j in order])
-    used, greedy = set(), []
-    for row, j in enumerate(order):
-        if used.isdisjoint(balls[j].idx):
-            used.update(balls[j].idx)
-            greedy.append(row)
+    order = live[np.argsort(-all_terms[live], kind="stable")]
+    term_arr = all_terms[order]
+    words = family.words[order]
+    order = order.tolist()
+    # Greedy: take the first remaining candidate, drop those it meets.
+    greedy, rem = [], np.arange(len(order))
+    while len(rem):
+        j = int(rem[0])
+        greedy.append(j)
+        tail = rem[1:]
+        rem = tail[~(words[tail] & words[j]).any(axis=1)]
     greedy_total = float(term_arr[greedy].sum())
     if mode == "greedy":
         return greedy_total, [order[j] for j in greedy]
@@ -426,14 +456,8 @@ def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
         )
 
     m, n = len(order), space.n
-    member_matrix = np.zeros((m, n), dtype=bool)
-    member_matrix[
-        np.repeat(np.arange(m), [len(balls[j].idx) for j in order]),
-        np.concatenate([balls[j].idx for j in order]),
-    ] = True
+    member_matrix = _member_matrix(words, n)
     density = term_arr / member_matrix.dot(space.weights)
-    # Member rows padded to whole 64-bit words, for the per-node conflict test.
-    words = np.packbits(np.pad(member_matrix, ((0, 0), (0, -n % 64))), axis=1).view(np.uint64)
 
     weights = space.weights
     best_total = greedy_total
@@ -447,7 +471,7 @@ def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
     if term_sum > best_total:
         intervals = _interval_rows(space, member_matrix, term_arr)
         if intervals is None:
-            sizes = member_matrix.sum(axis=1)
+            sizes = family.sizes[order]
             start = np.flatnonzero(~_dominated_rows(words, sizes, term_arr, margin * term_sum))
     floor = None
 
@@ -498,11 +522,11 @@ def _packed_sup(space: Space, balls, terms, mode: str, force: bool):
     return best_total, [order[j] for j in best_choice]
 
 
-def _jn_norm(space, balls, oscs, terms, p, mode, force):
-    total, chosen = _packed_sup(space, balls, terms, mode, force)
+def _jn_norm(space, family, oscs, terms, p, mode, force):
+    total, chosen = _packed_sup(space, family, terms, mode, force)
     chosen = sorted(chosen)
     packing = BallPacking(
-        balls=tuple(balls[j] for j in chosen),
+        balls=_family_balls(space, family, chosen),
         oscillations=tuple(float(oscs[j]) for j in chosen),
         terms=tuple(float(terms[j]) for j in chosen),
         total=float(total),
@@ -516,9 +540,9 @@ def _jn_norm(space, balls, oscs, terms, p, mode, force):
 
 
 def _per_ball_norm(space, region, p, per_ball, mode, force):
-    balls = canonical_balls(space, _region_idx(space, region))
-    oscs, terms = zip(*map(per_ball, balls))
-    return _jn_norm(space, balls, oscs, terms, p, mode, force)
+    idx = _region_idx(space, region)
+    oscs, terms = zip(*map(per_ball, canonical_balls(space, idx)))
+    return _jn_norm(space, _canonical_family(space, idx), oscs, terms, p, mode, force)
 
 
 def jn_median_norm(
@@ -533,10 +557,10 @@ def jn_median_norm(
     if not (0.0 < s <= 0.5):
         raise InvalidS(f"s must lie in (0, 1/2], got {s}")
 
-    balls, (oscs, mus) = _family_oscillations(space, f, _region_idx(space, region), s)
+    family, (oscs, mus) = _family_oscillations(space, f, _region_idx(space, region), s)
     # Python floats: numpy's vectorised power can differ from ** in the last bit.
     terms = [mu * osc**p for mu, osc in zip(mus, oscs)]
-    return _jn_norm(space, balls, oscs, terms, p, mode, force)
+    return _jn_norm(space, family, oscs, terms, p, mode, force)
 
 
 def jn_centered_sup(
@@ -585,7 +609,7 @@ def jn_integral_norm(
     if not q < p:
         raise InvalidParameter(f"q must be below p, got q={q}, p={p}")
 
-    balls, (oscs, mus) = _family_integral_oscillations(space, f, _region_idx(space, region), q)
+    family, (oscs, mus) = _family_integral_oscillations(space, f, _region_idx(space, region), q)
     # Python floats: numpy's vectorised power can differ from ** in the last bit.
     terms = [mu * osc ** (p / q) for mu, osc in zip(mus, oscs)]
-    return _jn_norm(space, balls, oscs, terms, p, mode, force)
+    return _jn_norm(space, family, oscs, terms, p, mode, force)

@@ -15,11 +15,16 @@ conservative choice when estimating doubling constants.
 
 Every ball around a center is a prefix of that center's points in stable
 distance order, ending where the distance changes.  The order of every
-row is computed once per space and cached.  ``canonical_balls`` and the
-CZ family (``czd.cz_family``) both come from this table: each prefix's
-member row is packed into 64-bit words by a running OR along the order,
-duplicate member sets are found by sorting the packed rows, and ``Ball``
-objects are built only for the survivors.
+row is computed once per space and cached.  A ball family (the canonical
+balls of a region, or the CZ family of ``czd.cz_family``) is held as
+arrays, one row per distinct member set: center index, radius, size and
+the member set packed into 64-bit words.  One pass builds every center's
+rows at once.  The prefix ends and radii come from the sorted distance
+rows, and a running OR along the order, over blocks of centers whose bit
+array stays under 64 KiB, packs each prefix.  Duplicate member sets are
+found by one sort of the packed rows.  The norms read these arrays
+directly.  ``Ball`` objects are built from them only where a caller gets
+balls back: ``canonical_balls``, ``cz_family`` and a norm's packing.
 
 ``doubling_profile`` reads the same order.  The breaks between distinct
 distances give every center's representative radii, B(c, r_i) is the
@@ -65,8 +70,11 @@ SINGLETON_SPACE_RADIUS = 1.0
 # one-point space would otherwise produce c_mu = 1 and dimension 0.
 MIN_DOUBLING = 1.0 + 2.0**-20
 
-# Unpacked member-row elements per block when ball fields are built.
+# Unpacked member-row elements per block when member indices are read.
 _UNPACK_ELEMS = 1 << 16
+
+# Bytes of the running-OR array per block of centers in the prefix pass.
+_PREFIX_BYTES = 1 << 16
 
 _CACHE_ATTR = "_medianjn_cache"
 
@@ -291,8 +299,52 @@ def _distance_order(space: Space) -> np.ndarray:
     return order
 
 
-def _prefix_balls(space: Space, centers, budget=None, inside=None) -> tuple[Ball, ...]:
-    """One ball per distinct member set among the prefix balls of ``centers``.
+@dataclass(frozen=True, eq=False)
+class _BallFamily:
+    """Distinct prefix balls as arrays, one row per ball in (center, radius) order.
+
+    ``centers`` holds center indices, ``radii`` representative radii and
+    ``sizes`` member counts; ``words`` packs each member set into 64-bit
+    words, point i being bit i % 64 of word i // 64.  The arrays are
+    read-only: families are cached per space.
+    """
+
+    centers: np.ndarray
+    radii: np.ndarray
+    sizes: np.ndarray
+    words: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.centers)
+
+
+def _member_matrix(words: np.ndarray, n: int) -> np.ndarray:
+    """Packed member rows as a boolean (rows, n) matrix."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+
+
+def _member_indices(words: np.ndarray, n: int) -> np.ndarray:
+    """Member indices of packed rows, row after row, each row in index order."""
+    step = max(1, _UNPACK_ELEMS // n)
+    parts = [
+        np.nonzero(_member_matrix(words[a : a + step], n))[1] for a in range(0, len(words), step)
+    ]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+
+
+def _member_rows(words: np.ndarray, sizes: np.ndarray, n: int):
+    """Each packed row's member indices as a list in index order, unpacked in blocks."""
+    step = max(1, _UNPACK_ELEMS // n)
+    for a in range(0, len(words), step):
+        flat = _member_indices(words[a : a + step], n).tolist()
+        lo = 0
+        for hi in np.cumsum(sizes[a : a + step]).tolist():
+            yield flat[lo:hi]
+            lo = hi
+
+
+def _prefix_family(space: Space, centers, budget=None, inside=None) -> _BallFamily:
+    """One row per distinct member set among the prefix balls of ``centers``.
 
     Around each center, in the stable order of its distance row, the ball
     ending at the k-th distinct distance d_k is the prefix {d <= d_k}.
@@ -301,80 +353,117 @@ def _prefix_balls(space: Space, centers, budget=None, inside=None) -> tuple[Ball
     count, at radius min(d_{k+1}, budget).  ``inside``, a boolean point
     mask, keeps the prefixes it contains.  Duplicate member sets keep the
     smallest center without a budget, and the largest radius, then the
-    smallest center, with one.  Survivors come in (center, radius) order.
+    smallest center, with one.  ``centers`` must be increasing; rows come
+    in (center, radius) order.
     """
     n = space.n
     n_words = -(-n // 64)
+    centers = np.asarray(centers, dtype=np.intp)
+    cols = np.arange(n)
+    # Every (center, prefix) candidate at once: O(n^2) arrays, like dist,
+    # freed before the member words are allocated.
+    order = _distance_order(space)[centers]
+    sd = np.take_along_axis(space.dist[centers], order, axis=1)
+    # ends[c, t]: prefix t + 1 ends a distinct distance of center c.
+    ends = np.ones(sd.shape, dtype=bool)
+    ends[:, :-1] = sd[:, 1:] != sd[:, :-1]
+    radii = np.empty_like(sd)
+    radii[:, :-1] = sd[:, 1:]
+    if budget is None:
+        radii[:, -1] = sd[:, -1] * FULL_BALL_BUMP
+        if n == 1:
+            radii[:] = SINGLETON_SPACE_RADIUS
+    else:
+        radii[:, -1] = np.inf
+        np.minimum(radii, budget, out=radii)
+        ends &= sd < budget
+    if inside is not None:
+        outside = ~inside[order]
+        first_out = np.where(outside.any(axis=1), outside.argmax(axis=1), n)
+        ends &= cols < first_out[:, None]
+    rows, last = np.nonzero(ends)
+    radius = radii[rows, last]
+    del sd, radii, ends
+
+    # Member words, word-major so that each lexsort key is contiguous.  The
+    # running OR goes over blocks of centers whose (centers, n, words)
+    # array stays under _PREFIX_BYTES.
+    words = np.empty((n_words, len(rows)), dtype="<u8")
+    step = max(1, _PREFIX_BYTES // (8 * n * n_words))
+    bounds = np.searchsorted(rows, np.arange(0, len(centers) + step, step)).tolist()
     one = np.uint64(1)
-    orders = _distance_order(space)
-    pair_center, pair_radius, pair_size, pair_words = [], [], [], []
-    for c in centers:
-        order = orders[c]
-        sd = space.dist[c][order]
-        last = np.flatnonzero(np.append(sd[1:] != sd[:-1], True))
-        ds = sd[last]
-        if budget is None:
-            if len(ds) == 1:
-                radii = np.array([SINGLETON_SPACE_RADIUS])
-            else:
-                radii = np.append(ds[1:], ds[-1] * FULL_BALL_BUMP)
-            keep = np.ones(len(ds), dtype=bool)
-        else:
-            radii = np.minimum(np.append(ds[1:], np.inf), budget)
-            keep = ds < budget
-        if inside is not None:
-            out = np.flatnonzero(~inside[order])
-            if len(out):
-                keep &= last < out[0]
-        # Row t holds the first t + 1 points of the order as packed bits.
-        bits = np.zeros((n, n_words), dtype="<u8")
-        bits[np.arange(n), order >> 6] = one << (order & 63).astype(np.uint64)
-        np.bitwise_or.accumulate(bits, axis=0, out=bits)
-        ends = last[keep]
-        pair_center.append(np.full(len(ends), c))
-        pair_radius.append(radii[keep])
-        pair_size.append(ends + 1)
-        pair_words.append(bits[ends])
-    words = np.concatenate(pair_words)
-    radius = np.concatenate(pair_radius)
+    for a, lo, hi in zip(range(0, len(centers), step), bounds, bounds[1:]):
+        block = order[a : a + step]
+        # Plane t of row c holds the first t + 1 points of c's order as bits.
+        bits = np.zeros((len(block), n, n_words), dtype="<u8")
+        block_rows = np.arange(len(block))[:, None]
+        bits[block_rows, cols, block >> 6] = one << (block & 63).astype(np.uint64)
+        np.bitwise_or.accumulate(bits, axis=1, out=bits)
+        words[:, lo:hi] = bits[rows[lo:hi] - a, last[lo:hi]].T
     # Sort by member set, then by preference; lexsort is stable, so equal
     # keys stay in (center, radius) order and the first of each run wins.
-    keys = [words[:, w] for w in range(n_words - 1, -1, -1)]
+    keys = list(words[::-1])
     if budget is not None:
         keys.insert(0, -radius)
     perm = np.lexsort(keys)
-    runs = words[perm]
-    first = np.ones(len(perm), dtype=bool)
-    first[1:] = (runs[1:] != runs[:-1]).any(axis=1)
+    del keys
+    first = np.zeros(len(perm), dtype=bool)
+    first[0] = True
+    for word in words:
+        run = word[perm]
+        first[1:] |= run[1:] != run[:-1]
     keep = np.sort(perm[first])
-    centers_kept = np.concatenate(pair_center)[keep].tolist()
-    radii_kept = radius[keep].tolist()
-    sizes = np.concatenate(pair_size)[keep]
-    words = words[keep]
-    # The pair tables go before the balls, which hold most of the memory.
-    del pair_words, runs, keys
+    family = _BallFamily(
+        centers=centers[rows[keep]],
+        radii=radius[keep],
+        sizes=last[keep] + 1,
+        words=np.ascontiguousarray(words[:, keep].T),
+    )
+    for arr in (family.centers, family.radii, family.sizes, family.words):
+        arr.setflags(write=False)
+    return family
 
+
+def _family_balls(space: Space, family: _BallFamily, rows=None) -> tuple[Ball, ...]:
+    """``Ball`` objects for the family's ``rows`` (all of them by default), in that order."""
+    if rows is None:
+        rows = np.arange(len(family))
+    rows = np.asarray(rows, dtype=np.intp)
+    words, sizes = family.words[rows], family.sizes[rows]
+    centers, radii = family.centers[rows].tolist(), family.radii[rows].tolist()
     ids = _point_ids(space)
     pids = space.point_ids
-    step = max(1, _UNPACK_ELEMS // n)
+    step = max(1, _UNPACK_ELEMS // space.n)
     balls = []
-    for a in range(0, len(keep), step):
-        block = words[a : a + step]
-        cols = np.nonzero(np.unpackbits(block.view(np.uint8), axis=1, count=n, bitorder="little"))[1]
-        idx_list = cols.tolist()
-        id_list = ids[cols].tolist()
+    for a in range(0, len(rows), step):
+        cols = _member_indices(words[a : a + step], space.n)
+        idx_list, id_list = cols.tolist(), ids[cols].tolist()
         lo = 0
-        for t, hi in enumerate(np.cumsum(sizes[a : a + step]).tolist()):
+        for t, hi in enumerate(np.cumsum(sizes[a : a + step]).tolist(), start=a):
             balls.append(
                 Ball(
-                    center=pids[centers_kept[a + t]],
-                    radius=radii_kept[a + t],
+                    center=pids[centers[t]],
+                    radius=radii[t],
                     members=tuple(id_list[lo:hi]),
                     idx=tuple(idx_list[lo:hi]),
                 )
             )
             lo = hi
     return tuple(balls)
+
+
+def _canonical_family(space: Space, region_idx: tuple[int, ...]) -> _BallFamily:
+    """The family of ``canonical_balls`` for a resolved, nonempty region (cached)."""
+    key = ("family", region_idx)
+    cache = space._cache()
+    family = cache.get(key)
+    if family is None:
+        inside = None
+        if len(region_idx) < space.n:
+            inside = np.zeros(space.n, dtype=bool)
+            inside[list(region_idx)] = True
+        family = cache[key] = _prefix_family(space, region_idx, inside=inside)
+    return family
 
 
 def canonical_balls(space: Space, region=None) -> tuple[Ball, ...]:
@@ -389,15 +478,9 @@ def canonical_balls(space: Space, region=None) -> tuple[Ball, ...]:
         raise EmptyRegion("canonical_balls needs a nonempty region")
     key = ("canon", region_idx)
     cache = space._cache()
-    if key in cache:
-        return cache[key]
-    inside = None
-    if len(region_idx) < space.n:
-        inside = np.zeros(space.n, dtype=bool)
-        inside[list(region_idx)] = True
-    balls = _prefix_balls(space, region_idx, inside=inside)
-    cache[key] = balls
-    return balls
+    if key not in cache:
+        cache[key] = _family_balls(space, _canonical_family(space, region_idx))
+    return cache[key]
 
 
 def _prefix_measures(weights: np.ndarray, rank: np.ndarray, centers, *lengths) -> tuple:

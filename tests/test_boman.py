@@ -179,6 +179,22 @@ def test_non_positive_dilation_fails_certificate(grid32, dec32):
     assert cert.failing() == ("i-union", "ii-overlap", "v-absorption", "parameters")
 
 
+@pytest.mark.parametrize("bad", [99, -1])
+def test_chain_index_outside_the_family_fails_certificate(grid32, dec32, bad):
+    # Chain 0 runs central -> bad -> 0 with both of its links present.  The
+    # index neither raises (99) nor wraps to the last ball (-1): the three
+    # conditions that read the chain fail on it.
+    chains = {**dec32.chains, 0: (dec32.central, bad, 0)}
+    links = {**dec32.links, (0, 1): ("p0",), (0, 2): ("p0",)}
+    bad_dec = dataclasses.replace(dec32, chains=chains, links=links)
+    witness = "chain of ball 0 leaves the family"
+    assert _failures(grid32, bad_dec) == [
+        ("iii-chains", witness),
+        ("iv-links", witness),
+        ("v-absorption", witness),
+    ]
+
+
 def _failures(space, dec):
     return [(c.name, c.witness) for c in mj.verify_boman(space, dec).conditions if not c.passed]
 

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +47,32 @@ def test_text_and_json_agree(fixtures, capsys):
     main(["bmo", "--space", space, "--function", func, "--s", "0.5"])
     as_text = float(capsys.readouterr().out.strip())
     assert as_text == pytest.approx(as_json, rel=1e-12)
+
+
+def test_reused_parser_matches_fresh_processes(fixtures, capsys):
+    # main() builds its parser once per process.  Commands alternate, each
+    # option given in one call is left to its default in another, and one
+    # call fails to parse; every call prints what a fresh process prints.
+    space, func = fixtures
+    base = ["--space", space, "--function", func]
+    commands = [
+        ["jn-median", *base, "--p", "2", "--s", "0.5", "--mode", "greedy", "--output", "json"],
+        ["oscillation", *base, "--q", "1", "--set", "p0"],
+        ["jn-median", *base, "--p", "2", "--s", "0.5"],
+        ["median", *base, "--s", "0.5", "--bogus"],
+        ["oscillation", *base, "--s", "0.5"],
+    ]
+    in_process = []
+    for argv in commands + commands[::-1]:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    assert in_process[: len(commands)] == in_process[len(commands) :][::-1]
+    env = dict(os.environ, PYTHONPATH=str(Path(mj.__file__).resolve().parent.parent))
+    for argv, got in zip(commands, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "medianjn.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (fresh.returncode, fresh.stdout) == got, argv
 
 
 def test_unknown_flag_exits_2(fixtures, capsys):
@@ -159,3 +188,16 @@ def test_verify_boman_non_positive_rho_fails_certificate(boman_files, capsys):
     cert = json.loads(capsys.readouterr().out)
     failing = [c["name"] for c in cert["conditions"] if not c["pass"]]
     assert failing == ["v-absorption", "parameters"]
+
+
+@pytest.mark.parametrize("bad", [99, -1])
+def test_verify_boman_chain_outside_the_family_fails_certificate(boman_files, capsys, bad):
+    dec, write = boman_files
+    obj = dec.to_json()
+    chains = dict(obj["chains"], **{"0": [dec.central, bad, 0]})
+    links = dict(obj["links"], **{"0:1": ["p0"], "0:2": ["p0"]})
+    assert main(write(chains=chains, links=links)) == 1
+    out = capsys.readouterr().out
+    assert "FAIL iii-chains chain of ball 0 leaves the family" in out
+    assert "FAIL iv-links chain of ball 0 leaves the family" in out
+    assert out.rstrip().endswith("overall: FAIL")

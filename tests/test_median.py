@@ -9,7 +9,7 @@ import medianjn as mj
 from medianjn.errors import EmptySet, InvalidS
 from medianjn.median import _shorth_rows
 
-from util import fn, line_space, random_space, two_point_space
+from util import fn, line_space, packed, random_space, two_point_space
 
 
 def test_indicator_half_median():
@@ -288,7 +288,7 @@ def test_batched_kernel_matches_per_ball_path():
         ][kind]
         s = float(rng.choice([1.0, 0.5, 0.3, 0.25, 0.2, 0.1, 1e-3, rng.uniform(0.01, 1.0)]))
         p = float(rng.choice([1.5, 2.0, 3.0]))
-        osc, c, mu = _shorth_rows(values, weights, rows, s)
+        osc, c, mu = _shorth_rows(values, weights, *packed(rows, n), s)
         for b, idx in enumerate(rows):
             old_osc, old_c = _old_oscillation(values, weights, idx, s)
             old_mu = float(weights[list(idx)].sum())

@@ -8,9 +8,10 @@ import pytest
 
 import medianjn as mj
 from medianjn import acceptance, norms
+from medianjn import space as space_module
 from medianjn.errors import EmptyRegion, ExactModeTooLarge, InvalidS, NonPositiveQ
 
-from util import fn, random_space, two_point_space
+from util import family_of, fn, packed, random_space, two_point_space
 
 
 def test_lp_norm_examples():
@@ -126,7 +127,7 @@ def test_integral_kernel_matches_per_ball_path():
             np.full(n, float(rng.normal())),
         ][kind]
         for q in (1.0, 0.7, 0.5, 0.25):
-            osc, c, mu = norms._integral_rows(values, weights, rows, q)
+            osc, c, mu = norms._integral_rows(values, weights, *packed(rows, n), q)
             for b, idx in enumerate(rows):
                 old_osc, old_c = _old_integral_oscillation(values, weights, idx, q)
                 assert float(osc[b]).hex() == old_osc.hex(), (trial, q, b)
@@ -152,7 +153,7 @@ def test_jn_integral_norm_matches_per_ball_path():
         balls = mj.canonical_balls(sp)
         oscs = [_old_integral_oscillation(f.values, sp.weights, b.idx, q)[0] for b in balls]
         terms = [sp.mu(b.idx) * osc ** (p / q) for b, osc in zip(balls, oscs)]
-        want = norms._jn_norm(sp, balls, oscs, terms, p, mode, True)
+        want = norms._jn_norm(sp, family_of(sp), oscs, terms, p, mode, True)
         assert got.total.hex() == want.total.hex() and got.value.hex() == want.value.hex()
         assert got.packing.balls == want.packing.balls
         assert [t.hex() for t in got.packing.terms] == [t.hex() for t in want.packing.terms]
@@ -172,6 +173,30 @@ def test_bmo_examples():
         for b in mj.canonical_balls(three)
     )
     assert mj.bmo_median_norm(three, f, None, 0.5) == best
+
+
+def test_norm_path_builds_balls_only_for_the_packing(monkeypatch):
+    # Cold norms on fresh spaces read the family arrays: a packed norm makes
+    # a Ball only for each ball of the packing it returns, the BMO norm none.
+    made = []
+
+    class Counted(space_module.Ball):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(space_module, "Ball", Counted)
+    rng = np.random.default_rng(73)
+    for mode, sp in [("greedy", mj.grid_space(2, 6)), ("exact", mj.grid_space(1, 40)),
+                     ("greedy", random_space(rng, min_n=20, max_n=20, dim=2))]:
+        f = fn(sp, rng.normal(size=sp.n))
+        made.clear()
+        res = mj.jn_median_norm(sp, f, None, 2.0, 0.25, mode=mode, force=True)
+        assert 0 < len(made) <= len(res.packing.balls)
+    sp = mj.grid_space(1, 40)
+    made.clear()
+    assert mj.bmo_median_norm(sp, fn(sp, rng.normal(size=sp.n)), None, 0.25) > 0.0
+    assert made == []
 
 
 def test_jn_median_two_point():
@@ -412,7 +437,7 @@ def test_exact_search_matches_list_and_dict_search():
         if sum(t > 0.0 for t in terms) > 400:
             continue
         expected = _list_and_dict_packed_sup(sp, balls, terms)
-        assert norms._packed_sup(sp, balls, terms, "exact", True) == expected
+        assert norms._packed_sup(sp, family_of(sp, region), terms, "exact", True) == expected
         searched += 1
     assert searched >= 40
 
@@ -430,7 +455,7 @@ def test_exact_packing_matches_milp_optimum():
         balls, terms = _median_terms(sp, f, s, p)
         if not 150 <= sum(t > 0.0 for t in terms) <= 500:
             continue
-        total, chosen = norms._packed_sup(sp, balls, terms, "exact", True)
+        total, chosen = norms._packed_sup(sp, family_of(sp), terms, "exact", True)
         cover = np.zeros((sp.n, len(balls)))
         for j, b in enumerate(balls):
             cover[list(b.idx), j] = 1.0
@@ -504,7 +529,8 @@ def test_exact_packing_matches_interval_scheduling_on_lines(monkeypatch):
         norms, "_interval_optimum", lambda *args: calls.append(1) or optimum(*args)
     )
     for sp, f, s, p in _interval_instances():
-        balls, (oscs, mus) = norms._family_oscillations(sp, f, tuple(range(sp.n)), s)
+        _, (oscs, mus) = norms._family_oscillations(sp, f, tuple(range(sp.n)), s)
+        balls = mj.canonical_balls(sp)
         terms = [mu * osc**p for mu, osc in zip(mus, oscs)]
         res = mj.jn_median_norm(sp, f, None, p, s, force=True)
         assert res.total == pytest.approx(
@@ -523,7 +549,7 @@ def test_interval_bound_stays_off_in_the_plane(monkeypatch):
     g = mj.grid_space(2, 5)
     f = fn(g, rng.normal(size=g.n))
     balls, terms = _median_terms(g, f, 0.25, 2.0)
-    assert norms._packed_sup(g, balls, terms, "exact", True) == _list_and_dict_packed_sup(
+    assert norms._packed_sup(g, family_of(g), terms, "exact", True) == _list_and_dict_packed_sup(
         g, balls, terms
     )
     assert built == [None]
@@ -563,7 +589,7 @@ def test_dominance_keeps_a_ball_tied_with_its_sub_ball(monkeypatch):
     # Equal terms: the bigger ball sorts first, so it is the one chosen.
     seen = _recorded_dominance(monkeypatch)
     g, balls, terms, big, sub = _ball_and_sub_ball_terms(0.0)
-    total, chosen = norms._packed_sup(g, balls, terms, "exact", True)
+    total, chosen = norms._packed_sup(g, family_of(g), terms, "exact", True)
     assert (total, chosen) == _list_and_dict_packed_sup(g, balls, terms)
     assert big in chosen and sub not in chosen
     assert len(seen) == 1
@@ -576,7 +602,7 @@ def test_dominance_needs_more_than_the_margin(monkeypatch):
     seen = _recorded_dominance(monkeypatch)
     for excess, dropped in [(2.0**-46, False), (2.0**-30, True)]:
         g, balls, terms, big, sub = _ball_and_sub_ball_terms(excess)
-        result = norms._packed_sup(g, balls, terms, "exact", True)
+        result = norms._packed_sup(g, family_of(g), terms, "exact", True)
         assert result == _list_and_dict_packed_sup(g, balls, terms)
         assert sub in result[1]
         _, _, term_arr, _, dominated = seen[-1]
@@ -608,7 +634,7 @@ def test_dominated_rows_match_brute_force(monkeypatch):
         terms = np.round(rng.uniform(0.0, 1.0, size=len(balls)), 2)
         terms *= 1.0 + rng.integers(0, 3, size=len(balls)) * 2.0**-50
         terms = terms.tolist()
-        norms._packed_sup(sp, balls, terms, "exact", True)
+        norms._packed_sup(sp, family_of(sp, region), terms, "exact", True)
         assert len(seen) == trial + 1
         _, _, term_arr, slack, dominated = seen[-1]
         assert slack == 4 * sp.n * 2.0**-52 * float(term_arr.sum())

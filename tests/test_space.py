@@ -16,7 +16,14 @@ from medianjn.errors import (
     UnknownCenter,
 )
 
-from medianjn.space import FULL_BALL_BUMP, MIN_DOUBLING, SINGLETON_SPACE_RADIUS, _make_ball
+from medianjn.space import (
+    FULL_BALL_BUMP,
+    MIN_DOUBLING,
+    SINGLETON_SPACE_RADIUS,
+    _canonical_family,
+    _make_ball,
+    _prefix_family,
+)
 
 from util import line_space, random_space, two_point_space
 
@@ -240,11 +247,26 @@ def _fields(balls):
     return [(b.center, b.radius.hex(), b.members, b.idx) for b in balls]
 
 
+def _family_fields(space, family):
+    """``_fields`` of a family's rows, members read bit by bit from its words."""
+    fields = []
+    for c, r, size, row in zip(
+        family.centers.tolist(), family.radii.tolist(), family.sizes.tolist(), family.words.tolist()
+    ):
+        bits = "".join(f"{w:064b}"[::-1] for w in row)
+        idx = tuple(i for i, bit in enumerate(bits) if bit == "1")
+        # No bit is set past the last point, and sizes count the members.
+        assert idx[-1] < space.n and size == len(idx)
+        fields.append((space.point_ids[c], r.hex(), tuple(space.point_ids[i] for i in idx), idx))
+    return fields
+
+
 def test_prefix_enumeration_matches_per_center_loop():
     # Field for field, radii as float hex, against the former per-center
     # radius loop and dedup dict, on random spaces, the 64-point line at
     # spacing 1/64, the 8x8 grid, the depth-6 cluster space and spaces of
-    # 65-71 points, whose member rows need a second 64-bit word.
+    # 65-71 points, whose member rows need a second 64-bit word.  The
+    # family arrays behind canonical_balls and cz_family match too.
     rng = np.random.default_rng(15)
     spaces = [mj.build_space(["a"], [1.0], coords=[[0.0]])]
     spaces += [random_space(rng, max_n=14, dim=1 + k % 2) for k in range(30)]
@@ -252,19 +274,24 @@ def test_prefix_enumeration_matches_per_center_loop():
     spaces += [random_space(rng, min_n=n, max_n=n, dim=1 + n % 2) for n in (65, 68, 71)]
     for sp in spaces:
         everything = tuple(range(sp.n))
-        assert _fields(mj.canonical_balls(sp)) == _fields(_old_canonical_balls(sp, everything))
+        expected = _fields(_old_canonical_balls(sp, everything))
+        assert _fields(mj.canonical_balls(sp)) == expected
+        assert _family_fields(sp, _canonical_family(sp, everything)) == expected
         for _ in range(3):
             region = sorted(rng.choice(sp.n, size=int(rng.integers(1, sp.n + 1)), replace=False))
             region = tuple(int(i) for i in region)
-            assert _fields(mj.canonical_balls(sp, list(region))) == _fields(
-                _old_canonical_balls(sp, region)
-            )
+            expected = _fields(_old_canonical_balls(sp, region))
+            assert _fields(mj.canonical_balls(sp, list(region))) == expected
+            assert _family_fields(sp, _canonical_family(sp, region)) == expected
         for _ in range(3):
             center = sp.point_ids[int(rng.integers(0, sp.n))]
             radius = float(rng.choice(sp.dist[sp.index(center)])) * float(rng.uniform(0.5, 1.5))
             b0 = mj.ball_at(sp, center, max(radius, 1e-3))
             for eta in (0.05, 0.5, 3.0, 1e5):
-                assert _fields(mj.cz_family(sp, b0, eta)) == _fields(_old_cz_family(sp, b0, eta))
+                expected = _fields(_old_cz_family(sp, b0, eta))
+                assert _fields(mj.cz_family(sp, b0, eta)) == expected
+                family = _prefix_family(sp, b0.idx, budget=eta * b0.radius)
+                assert _family_fields(sp, family) == expected
 
 
 def _old_doubling_profile(space):
