@@ -9,6 +9,21 @@ pulls every chain member over the chain's endpoint.  ``verify_boman``
 checks the five conditions exactly and reports a witness for each failure
 instead of raising.
 
+The verifier, the grid builder and the chain ratio work on member rows,
+one row per ball, in ball order: a ball's row comes from its ``idx``, and
+each C1, C2 or rho dilate family from one comparison
+``dist[centers] < (lam * radii)[:, None]``, the strict ``<`` on the same
+float product as ``dilate``.  Rows are packed into 64-bit words, point i
+being bit i % 64 of word i // 64.  Pairwise tests AND packed words:
+ball against ball (disjointness, C2 overlap) over tiles whose (side,
+side) temporaries hold at most half ``_BLOCK_ELEMS`` elements, and link
+against dilate or ball against rho dilate (containment) over blocks of
+pairs of the same bound.  Each condition reports its first violation by
+ball, then by position along the ball's chain; a link with an unknown
+point id raises UnknownCenter only when it is the first link to fail.
+Measures keep the bits of ``space.mu``: a row's points are summed in
+their own order, with one C-contiguous array per row length.
+
 ``global_jn_verify`` combines the local weak-type inequality on each
 dilated ball with the chaining estimate to bound the oscillation of f
 around a single constant on the whole region; since the chaining constant
@@ -18,6 +33,7 @@ against an explicit budget.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -32,9 +48,18 @@ from .errors import (
     UnknownBall,
     UnverifiedDecomposition,
 )
-from .median import _as_values, maximal_median
-from .norms import jn_integral_norm, jn_median_norm, weak_lp_norm
-from .space import Ball, Space, ball_at, dilate, doubling_profile
+from .median import _as_values, _maximal_median_rows, maximal_median
+from .norms import _BLOCK_ELEMS, _weak_lp_rows, jn_integral_norm, jn_median_norm
+from .space import (
+    Ball,
+    Space,
+    _ball_rows,
+    _balls_at,
+    _pack_rows,
+    _point_ids,
+    dilate,
+    doubling_profile,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,10 +93,35 @@ class BomanDecomposition:
         }
 
 
+def _integral(value, what: str) -> int:
+    """``int(value)``, refusing a number with a fractional part instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise InvalidParameter(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``_integral`` of each value, in one pass when they are all ints already."""
+    try:
+        ints = tuple(map(int, values))
+        if ints == tuple(values):
+            return ints
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return tuple(_integral(v, what) for v in values)
+
+
 def decomposition_from_json(space: Space, obj) -> BomanDecomposition:
+    """Inverse of ``BomanDecomposition.to_json``.
+
+    ``M``, chain keys and entries and link positions are integers: a
+    number with a fractional part raises InvalidParameter where ``int``
+    would truncate it.  Raises UnknownBall when the central ball is not
+    among the balls.
+    """
     if isinstance(obj, str):
         obj = json.loads(obj)
-    balls = tuple(ball_at(space, b["center"], b["radius"]) for b in obj["balls"])
+    balls = _balls_at(space, ((b["center"], b["radius"]) for b in obj["balls"]))
     central_spec = obj["central"]
     central = next(
         (
@@ -86,10 +136,12 @@ def decomposition_from_json(space: Space, obj) -> BomanDecomposition:
             f"central ball {central_spec['center']} radius {central_spec['radius']} "
             "is not among the balls"
         )
-    chains = {int(k): tuple(int(i) for i in v) for k, v in obj["chains"].items()}
+    chains = {
+        _integral(k, "chain key"): _integers(v, "chain entry") for k, v in obj["chains"].items()
+    }
     links = {}
     for key, ids in obj["links"].items():
-        bi, pos = key.split(":")
+        bi, pos = key.split(":")  # a string, which int() parses or refuses whole
         links[(int(bi), int(pos))] = tuple(ids)
     return BomanDecomposition(
         region=tuple(obj["region"]),
@@ -99,7 +151,7 @@ def decomposition_from_json(space: Space, obj) -> BomanDecomposition:
         c2=float(obj["C2"]),
         c3=float(obj["C3"]),
         rho=float(obj["rho"]),
-        overlap=int(obj["M"]),
+        overlap=_integral(obj["M"], "M"),
         chains=chains,
         links=links,
     )
@@ -134,113 +186,94 @@ def verify_boman(space: Space, dec: BomanDecomposition) -> BomanCertificate:
     """Check conditions (i)-(v) plus disjointness; never raises on failure.
 
     A non-positive C1, C2 or rho fails ``parameters``, and each condition
-    that needs a dilate by it fails with that factor as its witness.
+    that needs a dilate by it fails with that factor as its witness.  A
+    chain that is empty or leaves the family fails ``iii-chains``; the
+    link and absorption conditions skip an empty chain and fail on one
+    that leaves.  An unknown point id in a link raises UnknownCenter when
+    the link scan reaches that link.
     """
     reports = []
-    region = set(space.index(p) for p in dec.region)
-    ball_sets = [set(b.idx) for b in dec.balls]
+    m = len(dec.balls)
+    region_idx = list(map(space.index, dec.region))
+    region = _index_words(space.n, region_idx, [len(region_idx)])[0]
+    sizes = [len(b.idx) for b in dec.balls]
+    ball_idx = np.fromiter(
+        itertools.chain.from_iterable(b.idx for b in dec.balls), dtype=np.intp, count=sum(sizes)
+    )
+    ball_words = _index_words(space.n, ball_idx, sizes)
 
-    disjoint, witness = True, ""
-    for a in range(len(dec.balls)):
-        for b in range(a + 1, len(dec.balls)):
-            if not ball_sets[a].isdisjoint(ball_sets[b]):
-                disjoint, witness = False, f"balls {a} and {b} intersect"
-                break
-        if not disjoint:
-            break
-    reports.append(ConditionReport("disjoint", disjoint, witness))
+    later = _meets(ball_words)[1]
+    hit = np.flatnonzero(later < m)
+    witness = f"balls {hit[0]} and {later[hit[0]]} intersect" if len(hit) else ""
+    reports.append(ConditionReport("disjoint", not witness, witness))
 
     def dilates(lam):
-        return [dilate(space, b, lam) for b in dec.balls] if lam > 0.0 else None
+        # Packed member rows of every ball's lam-dilate, as ``dilate`` builds them.
+        if not lam > 0.0:
+            return None
+        return _pack_rows(_ball_rows(space, ((b.center, lam * b.radius) for b in dec.balls))[2])
 
     def undefined(**factors):
         # The witness of a condition that needs a dilate by a factor <= 0.
         bad = [f"{name}={lam!r}" for name, lam in factors.items() if not lam > 0.0]
         return f"no dilate by non-positive {', '.join(bad)}" if bad else ""
 
-    c1_dilates, c2_dilates, rho_dilates = dilates(dec.c1), dilates(dec.c2), dilates(dec.rho)
+    c1_words, c2_words, rho_words = dilates(dec.c1), dilates(dec.c2), dilates(dec.rho)
     witness = undefined(C1=dec.c1, C2=dec.c2)
-    ok = not witness
-    if ok:
-        u1 = set().union(*(d.idx for d in c1_dilates))
-        u2 = set().union(*(d.idx for d in c2_dilates))
-        ok = u1 == region and u2 == region
-        witness = "" if ok else (
-            f"C1 union {'==' if u1 == region else '!='} region, "
-            f"C2 union {'==' if u2 == region else '!='} region"
-        )
-    reports.append(ConditionReport("i-union", ok, witness))
+    if not witness:
+        same = [
+            np.array_equal(np.bitwise_or.reduce(w, axis=0), region) for w in (c1_words, c2_words)
+        ]
+        if not all(same):
+            witness = ", ".join(
+                f"{name} union {'==' if eq else '!='} region"
+                for name, eq in zip(("C1", "C2"), same)
+            )
+    reports.append(ConditionReport("i-union", not witness, witness))
 
     witness = undefined(C2=dec.c2)
-    ok = not witness
-    for a, da in enumerate(c2_dilates if ok else ()):
-        meets = set(da.idx)
-        count = sum(1 for db in c2_dilates if not meets.isdisjoint(db.idx))
-        if count > dec.overlap:
-            ok, witness = False, f"C2 dilate of ball {a} meets {count} > M={dec.overlap}"
-            break
-    reports.append(ConditionReport("ii-overlap", ok, witness))
+    if not witness:
+        count = _meets(c2_words)[0]
+        over = np.flatnonzero(count > dec.overlap)
+        if len(over):
+            witness = f"C2 dilate of ball {over[0]} meets {count[over[0]]} > M={dec.overlap}"
+    reports.append(ConditionReport("ii-overlap", not witness, witness))
 
-    def leaves_family(chain):
-        return any(not (0 <= v < len(dec.balls)) for v in chain)
-
-    ok, witness = True, ""
-    for bi in range(len(dec.balls)):
-        chain = dec.chains.get(bi)
+    chains = [dec.chains.get(bi) for bi in range(m)]
+    # The first chain that leaves the family: the link and absorption
+    # conditions read the chains before it, then fail on it.
+    stop = next((bi for bi, c in enumerate(chains) if c and (min(c) < 0 or max(c) >= m)), m)
+    leaves = f"chain of ball {stop} leaves the family" if stop < m else ""
+    witness = ""
+    for bi, chain in enumerate(chains[: stop + 1]):
         if chain is None:
-            ok, witness = False, f"ball {bi} has no chain"
+            witness = f"ball {bi} has no chain"
+        elif not chain:
+            witness = f"chain of ball {bi} is empty"
+        elif chain[0] != dec.central or chain[-1] != bi:
+            witness = f"chain of ball {bi} must run central -> ball"
+        elif bi == stop:
+            witness = leaves
+        if witness:
             break
-        if chain[0] != dec.central or chain[-1] != bi:
-            ok, witness = False, f"chain of ball {bi} must run central -> ball"
-            break
-        if leaves_family(chain):
-            ok, witness = False, f"chain of ball {bi} leaves the family"
-            break
-    reports.append(ConditionReport("iii-chains", ok, witness))
+    reports.append(ConditionReport("iii-chains", not witness, witness))
+    owner, member, pos = _flatten([c or () for c in chains[:stop]])
 
     witness = undefined(C1=dec.c1)
-    ok = not witness
-    ball_mu = [space.mu(b.idx) for b in dec.balls] if ok else []
-    for bi in range(len(dec.balls) if ok else 0):
-        chain = dec.chains.get(bi) or ()
-        if leaves_family(chain):
-            ok, witness = False, f"chain of ball {bi} leaves the family"
-            break
-        for pos in range(1, len(chain)):
-            link = dec.links.get((bi, pos))
-            if link is None:
-                ok, witness = False, f"missing link {bi}:{pos}"
-                break
-            link_idx = [space.index(p) for p in link]
-            inter = set(c1_dilates[chain[pos]].idx).intersection(c1_dilates[chain[pos - 1]].idx)
-            if not inter.issuperset(link_idx):
-                ok, witness = False, f"link {bi}:{pos} leaves the C1 intersection"
-                break
-            need = dec.c3 * (ball_mu[chain[pos]] + ball_mu[chain[pos - 1]])
-            if space.mu(link_idx) < need * (1.0 - 1e-12):
-                ok, witness = False, (
-                    f"link {bi}:{pos} has measure {space.mu(link_idx):.6g} < "
-                    f"C3 (mu+mu) = {need:.6g}"
-                )
-                break
-        if not ok:
-            break
-    reports.append(ConditionReport("iv-links", ok, witness))
+    if not witness:
+        ball_mu = _measures(space.weights, ball_idx, sizes)
+        witness = _link_failure(space, dec, c1_words, ball_mu, owner, member, pos) or leaves
+    reports.append(ConditionReport("iv-links", not witness, witness))
 
     witness = undefined(rho=dec.rho)
-    ok = not witness
-    for bi in range(len(dec.balls) if ok else 0):
-        chain = dec.chains.get(bi) or ()
-        if leaves_family(chain):
-            ok, witness = False, f"chain of ball {bi} leaves the family"
-            break
-        for v in chain:
-            if not ball_sets[bi].issubset(rho_dilates[v].idx):
-                ok, witness = False, f"ball {bi} escapes rho * ball {v}"
-                break
-        if not ok:
-            break
-    reports.append(ConditionReport("v-absorption", ok, witness))
+    if not witness:
+        escapes = np.flatnonzero(_escapes(ball_words, owner, rho_words, member))
+        if len(escapes):
+            t = escapes[0]
+            witness = f"ball {owner[t]} escapes rho * ball {member[t]}"
+        else:
+            witness = leaves
+    reports.append(ConditionReport("v-absorption", not witness, witness))
 
     params_ok = dec.c2 > dec.c1 > 1.0 and dec.c3 > 1.0 and dec.rho > 1.0 and dec.overlap >= 1
     reports.append(
@@ -249,6 +282,147 @@ def verify_boman(space: Space, dec: BomanDecomposition) -> BomanCertificate:
         )
     )
     return BomanCertificate(tuple(reports), all(r.passed for r in reports))
+
+
+def _flatten(chains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (ball, chain member) pair of a list of chains, in chain order.
+
+    Returns parallel arrays: the ball (the chain's place in the list), the
+    member and its position in the chain.
+    """
+    lengths = [len(c) for c in chains]
+    owner = np.repeat(np.arange(len(chains)), lengths)
+    member = np.fromiter(itertools.chain.from_iterable(chains), dtype=np.intp, count=len(owner))
+    pos = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    return owner, member, pos
+
+
+def _link_failure(space, dec, c1_words, ball_mu, owner, member, pos) -> str:
+    """Witness of the first link, in chain order, that fails condition (iv); "" if none does.
+
+    Link ``bi:pos`` joins the chain members at positions pos - 1 and pos.
+    It fails when it is missing, has a point outside the two members' C1
+    dilates, or weighs less than C3 times their measures.  Equal links
+    are resolved once; an unknown point id raises UnknownCenter only when
+    its link is the first that fails.
+    """
+    at = np.flatnonzero(pos > 0)
+    keys = list(zip(owner[at].tolist(), pos[at].tolist()))
+    links = list(map(dec.links.get, keys))
+    missing = links.index(None) if None in links else len(links)
+    links = list(map(tuple, links[:missing]))
+    cur, prev = member[at[:missing]], member[at[:missing] - 1]
+    distinct = {link: k for k, link in enumerate(dict.fromkeys(links))}
+    which = np.fromiter(map(distinct.__getitem__, links), dtype=np.intp, count=len(links))
+    lengths = [len(link) for link in distinct]
+    ids = list(itertools.chain.from_iterable(distinct))
+    table = space._index_table()
+    pts = np.fromiter(map(table.get, ids, itertools.repeat(-1)), dtype=np.intp, count=len(ids))
+    unknown = np.zeros(len(distinct), dtype=bool)
+    unknown[np.repeat(np.arange(len(distinct)), lengths)[pts < 0]] = True
+    # A link with an unknown id raises when it is reached, whatever its rows.
+    pts[pts < 0] = 0
+    link_words = _index_words(space.n, pts, lengths)
+    link_mu = _measures(space.weights, pts, lengths)[which]
+
+    outside = _escapes(link_words, which, c1_words, cur)
+    outside |= _escapes(link_words, which, c1_words, prev)
+    need = dec.c3 * (ball_mu[cur] + ball_mu[prev])
+    light = link_mu < need * (1.0 - 1e-12)
+    bad = np.flatnonzero(unknown[which] | outside | light)
+    if len(bad):
+        t = bad[0]
+        bi, p = keys[t]
+        if unknown[which[t]]:
+            for pid in links[t]:
+                space.index(pid)  # raises on the first unknown id
+        if outside[t]:
+            return f"link {bi}:{p} leaves the C1 intersection"
+        return f"link {bi}:{p} has measure {link_mu[t]:.6g} < C3 (mu+mu) = {need[t]:.6g}"
+    if missing < len(keys):
+        bi, p = keys[missing]
+        return f"missing link {bi}:{p}"
+    return ""
+
+
+def _index_words(n: int, flat, sizes) -> np.ndarray:
+    """Packed member words of rows given as concatenated point lists of ``sizes``."""
+    rows = np.zeros((len(sizes), n), dtype=bool)
+    rows[np.repeat(np.arange(len(sizes)), sizes), flat] = True
+    return _pack_rows(rows)
+
+
+def _meets(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of packed member words: the rows it meets and the first later one.
+
+    Returns the count of rows that share a point with it (itself too, when
+    it is nonempty) and the first later row that does (the row count when
+    none does).  Pairs of rows are ANDed one word at a time over tiles of
+    the upper triangle, each (side, side) temporary holding at most half
+    ``_BLOCK_ELEMS`` elements; a tile's hits count for both of its sides.
+    """
+    m, n_words = words.shape
+    side = max(1, math.isqrt(_BLOCK_ELEMS // 2))
+    word_major = np.ascontiguousarray(words.T)
+    count = np.zeros(m, dtype=np.intp)
+    later = np.full(m, m)
+    for a in range(0, m, side):
+        rows = np.arange(a, min(a + side, m))
+        for b in range(a, m, side):
+            cols = np.arange(b, min(b + side, m))
+            hit = np.zeros((len(rows), len(cols)), dtype=bool)
+            for w in word_major:
+                hit |= (w[rows, None] & w[None, cols]) != 0
+            count[rows] += hit.sum(axis=1)
+            if b > a:
+                count[cols] += hit.sum(axis=0)
+            hit &= cols > rows[:, None]
+            first = np.where(hit.any(axis=1), b + hit.argmax(axis=1), m)
+            np.minimum(later[rows], first, out=later[a : a + len(rows)])
+    return count, later
+
+
+def _escapes(words, rows, cover, cover_rows) -> np.ndarray:
+    """Per pair t: whether row ``rows[t]`` of ``words`` leaves row ``cover_rows[t]`` of ``cover``.
+
+    That is, has a point outside it.  Pairs go in blocks of at most half
+    ``_BLOCK_ELEMS`` words.
+    """
+    step = max(1, _BLOCK_ELEMS // 2 // words.shape[1])
+    out = np.empty(len(rows), dtype=bool)
+    for a in range(0, len(rows), step):
+        part = words[rows[a : a + step]] & ~cover[cover_rows[a : a + step]]
+        out[a : a + step] = part.any(axis=1)
+    return out
+
+
+def _size_blocks(flat: np.ndarray, sizes):
+    """Rows of concatenated point lists, grouped by length.
+
+    ``flat`` concatenates rows of ``sizes`` point indices.  Yields, per
+    block of rows of one nonzero length, the row numbers and their points
+    as a C-contiguous (rows, length) array, each row in its own order; a
+    block holds at most ``_BLOCK_ELEMS`` points, or one row.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    for size in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():
+        rows = np.flatnonzero(sizes == size)
+        step = max(1, _BLOCK_ELEMS // size)
+        for a in range(0, len(rows), step):
+            part = rows[a : a + step]
+            yield part, flat[starts[part, None] + np.arange(size)]
+
+
+def _measures(weights: np.ndarray, flat: np.ndarray, sizes) -> np.ndarray:
+    """Per row of ``_size_blocks``: the bits of ``space.mu`` on its points, 0.0 when empty.
+
+    Row sums of a C-contiguous array run the pairwise loop of the 1-D sum.
+    """
+    mu = np.zeros(len(sizes))
+    for rows, pts in _size_blocks(flat, sizes):
+        mu[rows] = weights[pts].sum(axis=1)
+    return mu
 
 
 # ---------------------------------------------------------------- grid helper
@@ -343,40 +517,34 @@ def _windowed_decomposition(
             ordered[k + granularity // 2]
             for k in range(0, len(ordered), granularity)
         ]
-    balls = tuple(ball_at(space, space.point_ids[c], r0) for c in centers)
+    balls = _balls_at(space, ((space.point_ids[c], r0) for c in centers))
 
     # Central ball: nearest to the centroid of the target, ties by index.
     centroid = space.coords[target].mean(axis=0)
     dists = np.linalg.norm(space.coords[centers] - centroid[None, :], axis=1)
     central = int(np.argmin(dists))
 
-    pos = {tuple(np.round(space.coords[c] / (spacing * granularity)).astype(int)): k
-           for k, c in enumerate(centers)}
-    chains = {}
-    for k in range(len(centers)):
-        path = _grid_chain(pos, centers, central, k, space, spacing * granularity)
-        if path is None:
-            return None
-        chains[k] = tuple(path)
+    cells = np.round(space.coords[centers] / (spacing * granularity)).astype(int).tolist()
+    chains = _grid_chains([tuple(c) for c in cells], central)
+    if chains is None:
+        return None
+    owner, member, pos = _flatten(list(chains.values()))
+    links = _chain_links(space, space.dist[centers] < c1 * r0, owner, member, pos)
 
-    c1_dilates = [set(dilate(space, b, c1).idx) for b in balls]
-    links = {}
-    for bi, chain in chains.items():
-        for p in range(1, len(chain)):
-            inter = c1_dilates[chain[p]] & c1_dilates[chain[p - 1]]
-            links[(bi, p)] = tuple(space.point_ids[i] for i in sorted(inter))
-
-    rho = 1.5
-    for bi, chain in chains.items():
-        for v in chain:
-            d = float(
-                np.linalg.norm(space.coords[centers[bi]] - space.coords[centers[v]])
-            )
-            rho = max(rho, (d + r0) / r0 * 1.01)
-    overlap = 0
-    c2_dilates = [set(dilate(space, b, c2).idx) for b in balls]
-    for da in c2_dilates:
-        overlap = max(overlap, sum(1 for db in c2_dilates if not da.isdisjoint(db)))
+    # rho pulls every chain member's ball over the chain's endpoint: its
+    # value grows with the largest center distance d over (ball, member)
+    # pairs, so only the pairs within a rounding error of the largest are
+    # measured by np.linalg.norm, whose dot product may fuse its terms.
+    xy = space.coords[centers]
+    diff = xy[owner] - xy[member]
+    sq = (diff * diff).sum(axis=1)
+    near = sq >= sq.max() * (1.0 - 2.0**-40)
+    d = max(
+        float(np.linalg.norm(xy[a] - xy[b]))
+        for a, b in set(zip(owner[near].tolist(), member[near].tolist()))
+    )
+    rho = max(1.5, (d + r0) / r0 * 1.01)
+    overlap = int(_meets(_pack_rows(space.dist[centers] < c2 * r0))[0].max())
     return BomanDecomposition(
         region=target_ball.members,
         balls=balls,
@@ -391,20 +559,60 @@ def _windowed_decomposition(
     )
 
 
-def _grid_chain(pos, centers, start, goal, space, step):
-    """March from the central cell to the goal cell, row first then column."""
-    cur = tuple(np.round(space.coords[centers[start]] / step).astype(int))
-    end = tuple(np.round(space.coords[centers[goal]] / step).astype(int))
-    path = [pos[cur]]
-    cur = list(cur)
-    for axis in range(len(cur)):
-        while cur[axis] != end[axis]:
-            cur[axis] += 1 if end[axis] > cur[axis] else -1
-            key = tuple(cur)
-            if key not in pos:
-                return None
-            path.append(pos[key])
-    return path
+def _grid_chains(cells, central):
+    """Row-first lattice paths from the central cell to every ball's cell.
+
+    A path marches along axis 0 first, then axis 1, so the path to a cell
+    is the path to the cell one step back along the last axis on which it
+    differs from the start, plus the cell itself; paths are built by
+    increasing lattice distance.  Returns None when a path leaves the
+    cells.
+    """
+    pos = {cell: k for k, cell in enumerate(cells)}
+    start = cells[central]
+    paths = {start: (pos[start],)}
+    by_distance = sorted(
+        range(len(cells)), key=lambda k: sum(abs(a - b) for a, b in zip(cells[k], start))
+    )
+    for k in by_distance:
+        cell = cells[k]
+        if cell in paths:
+            continue
+        axis = max(i for i in range(len(cell)) if cell[i] != start[i])
+        back = list(cell)
+        back[axis] += 1 if start[axis] > cell[axis] else -1
+        path = paths.get(tuple(back))
+        if path is None:
+            return None
+        paths[cell] = path + (pos[cell],)
+    return {k: paths[cell] for k, cell in enumerate(cells)}
+
+
+def _chain_links(space, c1_rows, owner, member, pos) -> dict:
+    """Link ``bi:pos`` of every chain: the points of both members' C1 dilates, by id.
+
+    Each pair of members is intersected once, in blocks of at most
+    ``_BLOCK_ELEMS`` elements.
+    """
+    at = np.flatnonzero(pos > 0)
+    m = len(c1_rows)
+    # An edge joins two members in either order; its key is lo * m + hi.
+    lo, hi = np.minimum(member[at], member[at - 1]), np.maximum(member[at], member[at - 1])
+    edges = (lo * m + hi).tolist()
+    distinct = list(dict.fromkeys(edges))
+    ids = _point_ids(space)
+    shared = {}
+    step = max(1, _BLOCK_ELEMS // space.n)
+    for k in range(0, len(distinct), step):
+        block = distinct[k : k + step]
+        pairs = np.array(block)
+        inter = c1_rows[pairs // m] & c1_rows[pairs % m]
+        row, col = np.nonzero(inter)
+        members = ids[col].tolist()
+        ends = np.searchsorted(row, np.arange(1, len(block) + 1)).tolist()
+        shared.update(zip(block, (tuple(members[i:j]) for i, j in zip([0, *ends], ends))))
+    keys = zip(owner[at].tolist(), pos[at].tolist())
+    return dict(zip(keys, map(shared.__getitem__, edges)))
 
 
 # ---------------------------------------------------------------- chain ratio
@@ -433,16 +641,33 @@ def chain_ratio(space: Space, f, dec: BomanDecomposition, p: float, s: float) ->
 
 
 def _chain_ratio(space: Space, f, dec: BomanDecomposition, p: float, s: float) -> ChainRatioResult:
-    """``chain_ratio`` on a decomposition already verified."""
+    """``chain_ratio`` on a decomposition already verified.
+
+    The C1 dilates' maximal medians, measures and weak-Lp norms come from
+    the row kernels, one block of dilates of one size at a time; each has
+    the bits of the one-set ``maximal_median``, ``space.mu`` and
+    ``weak_lp_norm``.  The sums run in ball order over Python floats.
+    """
     vals = _as_values(space, f)
-    c1_dilates = [dilate(space, b, dec.c1) for b in dec.balls]
-    m_star = maximal_median(space, f, c1_dilates[dec.central], s)
+    if not (0.0 < s <= 1.0):
+        raise InvalidS(f"s must lie in (0, 1], got {s}")
+    if not p > 0.0:
+        raise InvalidParameter(f"p must be positive, got {p}")
+    rows = _ball_rows(space, ((b.center, dec.c1 * b.radius) for b in dec.balls))[2]
+    owner, cols = np.nonzero(rows)
+    med, mu, norm = (np.zeros(len(rows)) for _ in range(3))
+    for part, pts in _size_blocks(cols, np.bincount(owner, minlength=len(rows))):
+        v, w = vals[pts], space.weights[pts]
+        med[part] = _maximal_median_rows(v, w, s)
+        mu[part] = w.sum(axis=1)
+        norm[part] = _weak_lp_rows(np.abs(v - med[part][:, None]), w, p)
+    med = med.tolist()
+    m_star = med[dec.central]
     lhs = 0.0
     rhs = 0.0
-    for d in c1_dilates:
-        m_b = maximal_median(space, f, d, s)
-        lhs += abs(m_b - m_star) ** p * space.mu(d.idx)
-        rhs += weak_lp_norm(space, vals - m_b, d, p) ** p
+    for m_b, mu_b, norm_b in zip(med, mu.tolist(), norm.tolist()):
+        lhs += abs(m_b - m_star) ** p * mu_b
+        rhs += norm_b**p
     if rhs == 0.0:
         c0 = 0.0 if lhs == 0.0 else math.inf
     else:
@@ -526,11 +751,14 @@ def global_jn_verify(
         lambda_grid = (
             np.geomspace(hi * 1e-3, hi, 50) if hi > 0.0 else np.array([1.0])
         )
+    lambdas = np.asarray(lambda_grid, dtype=float)
+    # mu{|f - a| > lambda} per lambda: one running sum along the region, in
+    # its order, so no Python version's ``sum`` regroups the additions.
+    above = np.where(g[region_idx] > lambdas[:, None], space.weights[region_idx], 0.0)
+    sums = np.cumsum(above, axis=1)[:, -1] if len(region_idx) else np.zeros(len(lambdas))
     entries = []
     c_meas = 0.0
-    w = space.weights
-    for lam in np.asarray(lambda_grid, dtype=float):
-        lhs = float(sum(w[i] for i in region_idx if g[i] > lam))
+    for lam, lhs in zip(lambdas, sums.tolist()):
         bound = c_budget * norm.total / lam**p if lam > 0 else math.inf
         entries.append((float(lam), lhs, float(bound)))
         if lhs > 0.0:

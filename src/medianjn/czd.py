@@ -445,6 +445,18 @@ class GoodLambdaResult:
     high: CZDecomposition
 
 
+def _sum_in_order(values) -> float:
+    """Left-to-right float sum, with the bits of a ``+=`` loop.
+
+    The built-in ``sum`` compensates float additions from Python 3.12 on,
+    so its result would depend on the Python version.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def good_lambda_sides(f, params: CZParams, p: float, s: float, lam: float) -> GoodLambdaResult:
     """Both sides of the good-lambda estimate at levels lambda and K lambda.
 
@@ -482,10 +494,10 @@ def good_lambda_sides(f, params: CZParams, p: float, s: float, lam: float) -> Go
     norm = jn_median_norm(
         space, f, params.b0_hat, p, s, mode="exact", force=True
     )
-    lhs = sum(space.mu(b.idx) for b in high.balls)
+    lhs = _sum_in_order(space.mu(b.idx) for b in high.balls)
     rhs = (
         (2.0**p * c3 / (K - 1.0) ** p) * norm.total / lam**p
-        + sum(space.mu(b.idx) for b in low.balls) / (2.0 * K**p)
+        + _sum_in_order(space.mu(b.idx) for b in low.balls) / (2.0 * K**p)
     )
     return GoodLambdaResult(
         lam=float(lam),

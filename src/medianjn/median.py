@@ -130,6 +130,24 @@ def weighted_maximal_median(values: np.ndarray, weights: np.ndarray, s: float) -
     return float(v[j])
 
 
+def _maximal_median_rows(values: np.ndarray, weights: np.ndarray, s: float) -> np.ndarray:
+    """``weighted_maximal_median`` of every row of two (rows, k) arrays, bit for bit.
+
+    Each row gets the same default ``argsort`` as one row alone, and its
+    total and cumulative masses run along a C-contiguous row, the loops
+    of the 1-D ``sum`` and ``cumsum``.
+    """
+    r, k = values.shape
+    base = (np.arange(r) * k)[:, None]
+    order = np.argsort(values, axis=1) + base
+    v = values.ravel()[order]
+    w = weights.ravel()[order]
+    total = w.sum(axis=1)
+    tails = total[:, None] - np.cumsum(w, axis=1)
+    j = np.argmax(tails < (s * total)[:, None], axis=1)
+    return v[np.arange(r), j]
+
+
 def maximal_median(space: Space, f, subset, s: float) -> float:
     """m_f^s(A): the largest s-median of f over the subset.
 

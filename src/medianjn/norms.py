@@ -185,15 +185,32 @@ def weak_lp_norm(space: Space, g, region, p: float) -> float:
         raise InvalidParameter(f"p must be positive, got {p}")
     idx = list(_region_idx(space, region))
     vals = np.abs(_as_values(space, g)[idx])
-    w = space.weights[idx]
-    levels, inverse = np.unique(vals, return_inverse=True)
-    mass = np.bincount(inverse, weights=w)
-    mass_ge = np.cumsum(mass[::-1])[::-1]
-    positive = levels > 0.0
-    if not positive.any():
-        return 0.0
-    best = float((levels[positive] ** p * mass_ge[positive]).max())
-    return best ** (1.0 / p)
+    return _weak_lp_rows(vals[None], space.weights[idx][None], p)[0]
+
+
+def _weak_lp_rows(values: np.ndarray, weights: np.ndarray, p: float) -> list[float]:
+    """Kernel: the weak-Lp norm of every row of two (rows, k) arrays, |g| and w.
+
+    A stable row sort groups equal values with their members in index
+    order, so ``bincount`` adds each value's mass in index order; the mass
+    at or above each value is a running sum from the top value down.
+    Padding groups hold zero mass at level zero, which adds nothing to
+    the running sums and never counts as a positive level.
+    """
+    r, k = values.shape
+    base = (np.arange(r) * k)[:, None]
+    order = np.argsort(values, axis=1, kind="stable") + base
+    sv = values.ravel()[order]
+    group = np.zeros((r, k), dtype=np.intp)
+    np.cumsum(sv[:, 1:] != sv[:, :-1], axis=1, out=group[:, 1:])
+    group += base
+    mass = np.bincount(group.ravel(), weights=weights.ravel()[order].ravel(), minlength=r * k)
+    mass_ge = np.cumsum(mass.reshape(r, k)[:, ::-1], axis=1)[:, ::-1]
+    levels = np.zeros(r * k)
+    levels[group.ravel()] = sv.ravel()
+    levels = levels.reshape(r, k)
+    terms = np.where(levels > 0.0, levels**p * mass_ge, 0.0)
+    return [best ** (1.0 / p) for best in terms.max(axis=1, initial=0.0).tolist()]
 
 
 def _golden_min(fn, lo: float, hi: float, rel_tol: float = 1e-10) -> float:

@@ -25,6 +25,9 @@ array stays under 64 KiB, packs each prefix.  Duplicate member sets are
 found by one sort of the packed rows.  The norms read these arrays
 directly.  ``Ball`` objects are built from them only where a caller gets
 balls back: ``canonical_balls``, ``cz_family`` and a norm's packing.
+Balls given as (center, radius) pairs, such as a chain decomposition's
+balls and their dilates, come as member rows from one comparison of
+their centers' distance rows (``_ball_rows``).
 
 ``doubling_profile`` reads the same order.  The breaks between distinct
 distances give every center's representative radii, B(c, r_i) is the
@@ -97,14 +100,17 @@ class Space:
         return float(self.weights.sum())
 
     def index(self, point_id: str) -> int:
-        table = self._cache().setdefault("index", None)
-        if table is None:
-            table = {pid: i for i, pid in enumerate(self.point_ids)}
-            self._cache()["index"] = table
         try:
-            return table[point_id]
+            return self._index_table()[point_id]
         except KeyError:
             raise UnknownCenter(f"unknown point id {point_id!r}") from None
+
+    def _index_table(self) -> dict:
+        """Point id -> index (cached)."""
+        table = self._cache().get("index")
+        if table is None:
+            table = self._cache()["index"] = {pid: i for i, pid in enumerate(self.point_ids)}
+        return table
 
     def mu(self, idx) -> float:
         """Measure of a set of point indices."""
@@ -257,11 +263,51 @@ def build_space(point_ids, weights, *, coords=None, distances=None) -> Space:
     return Space(point_ids=ids, weights=w, dist=dist, coords=c_arr)
 
 
-def ball_at(space: Space, center: str, radius: float) -> Ball:
-    """The ball {y : d(center, y) < radius} with strict inequality."""
+def _check_radius(radius) -> None:
     if not (radius > 0.0):
         raise NonPositiveRadius(f"radius must be positive, got {radius}")
+
+
+def ball_at(space: Space, center: str, radius: float) -> Ball:
+    """The ball {y : d(center, y) < radius} with strict inequality."""
+    _check_radius(radius)
     return _make_ball(space, space.index(center), radius)
+
+
+def _ball_rows(space: Space, pairs) -> tuple[list, list, np.ndarray]:
+    """``ball_at`` for many (center id, radius) pairs, as member rows.
+
+    Returns the center indices, the radii and a boolean (balls, n) matrix
+    whose rows are ``dist[center] < radius``, one comparison for all.
+    ``pairs`` is drawn lazily and each pair is checked as ``ball_at``
+    checks it, so the first bad pair raises the same error.
+    """
+    table = space._index_table()
+    centers, radii = [], []
+    for center, radius in pairs:
+        _check_radius(radius)
+        centers.append(table[center] if center in table else space.index(center))
+        radii.append(radius)
+    rows = space.dist[centers] < np.array(radii, dtype=float).reshape(-1, 1)
+    return centers, radii, rows
+
+
+def _balls_at(space: Space, pairs) -> tuple[Ball, ...]:
+    """The ``Ball``s of ``ball_at`` for many (center id, radius) pairs, in order."""
+    centers, radii, rows = _ball_rows(space, pairs)
+    owner, cols = np.nonzero(rows)  # each row's members in index order
+    ends = np.searchsorted(owner, np.arange(1, len(centers) + 1)).tolist()
+    idx, ids = cols.tolist(), _point_ids(space)[cols].tolist()
+    pids = space.point_ids
+    return tuple(
+        Ball(
+            center=pids[c],
+            radius=float(r),
+            members=tuple(ids[lo:hi]),
+            idx=tuple(idx[lo:hi]),
+        )
+        for c, r, lo, hi in zip(centers, radii, [0, *ends], ends)
+    )
 
 
 def dilate(space: Space, ball: Ball, lam: float) -> Ball:
@@ -321,6 +367,14 @@ class _BallFamily:
 def _member_matrix(words: np.ndarray, n: int) -> np.ndarray:
     """Packed member rows as a boolean (rows, n) matrix."""
     return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+
+
+def _pack_rows(rows: np.ndarray) -> np.ndarray:
+    """Boolean (rows, n) member rows as packed 64-bit words, the layout of ``_BallFamily.words``."""
+    m, n = rows.shape
+    packed = np.zeros((m, 8 * -(-n // 64)), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    return packed.view("<u8")
 
 
 def _member_indices(words: np.ndarray, n: int) -> np.ndarray:

@@ -201,3 +201,39 @@ def test_verify_boman_chain_outside_the_family_fails_certificate(boman_files, ca
     assert "FAIL iii-chains chain of ball 0 leaves the family" in out
     assert "FAIL iv-links chain of ball 0 leaves the family" in out
     assert out.rstrip().endswith("overall: FAIL")
+
+
+def test_verify_boman_empty_chain_fails_certificate(boman_files, capsys):
+    dec, write = boman_files
+    chains = dict(dec.to_json()["chains"], **{"0": []})
+    assert main(write(chains=chains)) == 1
+    out = capsys.readouterr().out
+    assert "FAIL iii-chains chain of ball 0 is empty" in out
+    assert "PASS iv-links" in out and "PASS v-absorption" in out
+    assert out.rstrip().endswith("overall: FAIL")
+
+
+def _malformed(obj):
+    """Malformed variants of a decomposition's JSON, each with its exit code."""
+    chain0 = obj["chains"]["0"]
+    return {
+        "unknown link id": (2, {"links": {**obj["links"], "0:1": ["zz"]}}),
+        "bad link key": (2, {"links": {**obj["links"], "0-1": ["p0"]}}),
+        "non-integer string chain entry": (2, {"chains": {**obj["chains"], "0": ["a"]}}),
+        "empty chain": (1, {"chains": {**obj["chains"], "0": []}}),
+        "fractional M": (2, {"M": obj["M"] - 0.1}),
+        "fractional chain entry": (2, {"chains": {**obj["chains"], "0": [*chain0[:-1], 0.5]}}),
+        "integral float entries": (0, {"M": float(obj["M"]),
+                                       "chains": {**obj["chains"], "0": [float(i) for i in chain0]}}),
+    }
+
+
+def test_verify_boman_malformed_exit_codes(boman_files, capsys):
+    dec, write = boman_files
+    for name, (code, changes) in _malformed(dec.to_json()).items():
+        assert main(write(**changes)) == code, name
+        captured = capsys.readouterr()
+        if code == 2:
+            assert "error" in captured.err and not captured.out, name
+        else:
+            assert captured.out.rstrip().endswith("PASS" if code == 0 else "FAIL"), name
