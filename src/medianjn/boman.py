@@ -48,8 +48,8 @@ from .errors import (
     UnknownBall,
     UnverifiedDecomposition,
 )
-from .median import _as_values, _maximal_median_rows, maximal_median
-from .norms import _BLOCK_ELEMS, _weak_lp_rows, jn_integral_norm, jn_median_norm
+from .median import _as_values, _check_s, _maximal_median_rows, maximal_median
+from .norms import _BLOCK_ELEMS, _check_p, _weak_lp_rows, jn_integral_norm, jn_median_norm
 from .space import (
     Ball,
     Space,
@@ -57,6 +57,7 @@ from .space import (
     _balls_at,
     _pack_rows,
     _point_ids,
+    _size_blocks,
     dilate,
     doubling_profile,
 )
@@ -100,17 +101,6 @@ def _integral(value, what: str) -> int:
     return int(value)
 
 
-def _integers(values, what: str) -> tuple[int, ...]:
-    """``_integral`` of each value, in one pass when they are all ints already."""
-    try:
-        ints = tuple(map(int, values))
-        if ints == tuple(values):
-            return ints
-    except (TypeError, ValueError, OverflowError):
-        pass
-    return tuple(_integral(v, what) for v in values)
-
-
 def decomposition_from_json(space: Space, obj) -> BomanDecomposition:
     """Inverse of ``BomanDecomposition.to_json``.
 
@@ -137,7 +127,8 @@ def decomposition_from_json(space: Space, obj) -> BomanDecomposition:
             "is not among the balls"
         )
     chains = {
-        _integral(k, "chain key"): _integers(v, "chain entry") for k, v in obj["chains"].items()
+        _integral(k, "chain key"): tuple(_integral(e, "chain entry") for e in v)
+        for k, v in obj["chains"].items()
     }
     links = {}
     for key, ids in obj["links"].items():
@@ -307,8 +298,9 @@ def _link_failure(space, dec, c1_words, ball_mu, owner, member, pos) -> str:
     its link is the first that fails.
     """
     at = np.flatnonzero(pos > 0)
-    keys = list(zip(owner[at].tolist(), pos[at].tolist()))
-    links = list(map(dec.links.get, keys))
+    balls, places = owner[at].tolist(), pos[at].tolist()
+    # One (ball, position) key alive at a time: a list of them all grew the peak heap.
+    links = list(map(dec.links.get, zip(balls, places)))
     missing = links.index(None) if None in links else len(links)
     links = list(map(tuple, links[:missing]))
     cur, prev = member[at[:missing]], member[at[:missing] - 1]
@@ -332,16 +324,15 @@ def _link_failure(space, dec, c1_words, ball_mu, owner, member, pos) -> str:
     bad = np.flatnonzero(unknown[which] | outside | light)
     if len(bad):
         t = bad[0]
-        bi, p = keys[t]
+        bi, p = balls[t], places[t]
         if unknown[which[t]]:
             for pid in links[t]:
                 space.index(pid)  # raises on the first unknown id
         if outside[t]:
             return f"link {bi}:{p} leaves the C1 intersection"
         return f"link {bi}:{p} has measure {link_mu[t]:.6g} < C3 (mu+mu) = {need[t]:.6g}"
-    if missing < len(keys):
-        bi, p = keys[missing]
-        return f"missing link {bi}:{p}"
+    if missing < len(balls):
+        return f"missing link {balls[missing]}:{places[missing]}"
     return ""
 
 
@@ -391,37 +382,23 @@ def _escapes(words, rows, cover, cover_rows) -> np.ndarray:
     step = max(1, _BLOCK_ELEMS // 2 // words.shape[1])
     out = np.empty(len(rows), dtype=bool)
     for a in range(0, len(rows), step):
-        part = words[rows[a : a + step]] & ~cover[cover_rows[a : a + step]]
-        out[a : a + step] = part.any(axis=1)
+        # w & c != w, not w & ~c: the uint64 invert loop would page in
+        # 64 KiB of numpy code that no other CLI command touches.
+        part = words[rows[a : a + step]]
+        out[a : a + step] = ((part & cover[cover_rows[a : a + step]]) != part).any(axis=1)
     return out
 
 
-def _size_blocks(flat: np.ndarray, sizes):
-    """Rows of concatenated point lists, grouped by length.
-
-    ``flat`` concatenates rows of ``sizes`` point indices.  Yields, per
-    block of rows of one nonzero length, the row numbers and their points
-    as a C-contiguous (rows, length) array, each row in its own order; a
-    block holds at most ``_BLOCK_ELEMS`` points, or one row.
-    """
-    sizes = np.asarray(sizes, dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    for size in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():
-        rows = np.flatnonzero(sizes == size)
-        step = max(1, _BLOCK_ELEMS // size)
-        for a in range(0, len(rows), step):
-            part = rows[a : a + step]
-            yield part, flat[starts[part, None] + np.arange(size)]
+def _point_blocks(sizes):
+    """``_size_blocks`` of at most ``_BLOCK_ELEMS`` points, or one row."""
+    return _size_blocks(sizes, lambda k: _BLOCK_ELEMS // k)
 
 
 def _measures(weights: np.ndarray, flat: np.ndarray, sizes) -> np.ndarray:
-    """Per row of ``_size_blocks``: the bits of ``space.mu`` on its points, 0.0 when empty.
-
-    Row sums of a C-contiguous array run the pairwise loop of the 1-D sum.
-    """
+    """Per row of concatenated point lists: the bits of ``space.mu`` on it, 0.0 when empty."""
     mu = np.zeros(len(sizes))
-    for rows, pts in _size_blocks(flat, sizes):
-        mu[rows] = weights[pts].sum(axis=1)
+    for rows, cols in _point_blocks(sizes):
+        mu[rows] = weights[flat[cols]].sum(axis=1)
     return mu
 
 
@@ -649,14 +626,13 @@ def _chain_ratio(space: Space, f, dec: BomanDecomposition, p: float, s: float) -
     ``weak_lp_norm``.  The sums run in ball order over Python floats.
     """
     vals = _as_values(space, f)
-    if not (0.0 < s <= 1.0):
-        raise InvalidS(f"s must lie in (0, 1], got {s}")
-    if not p > 0.0:
-        raise InvalidParameter(f"p must be positive, got {p}")
+    _check_s(s)
+    _check_p(p)
     rows = _ball_rows(space, ((b.center, dec.c1 * b.radius) for b in dec.balls))[2]
-    owner, cols = np.nonzero(rows)
+    owner, members = np.nonzero(rows)
     med, mu, norm = (np.zeros(len(rows)) for _ in range(3))
-    for part, pts in _size_blocks(cols, np.bincount(owner, minlength=len(rows))):
+    for part, cols in _point_blocks(np.bincount(owner, minlength=len(rows))):
+        pts = members[cols]
         v, w = vals[pts], space.weights[pts]
         med[part] = _maximal_median_rows(v, w, s)
         mu[part] = w.sum(axis=1)

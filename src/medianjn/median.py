@@ -91,6 +91,11 @@ class SampleFunction:
         return SampleFunction.from_mapping(space, obj["values"])
 
 
+def _check_s(s: float) -> None:
+    if not (0.0 < s <= 1.0):
+        raise InvalidS(f"s must lie in (0, 1], got {s}")
+
+
 @dataclass(frozen=True)
 class MedianQuery:
     """Validated (s, subset) pair for median operations."""
@@ -100,8 +105,7 @@ class MedianQuery:
 
     @staticmethod
     def of(space: Space, subset, s: float) -> "MedianQuery":
-        if not (0.0 < s <= 1.0):
-            raise InvalidS(f"s must lie in (0, 1], got {s}")
+        _check_s(s)
         idx = _resolve_region(space, subset)
         if len(idx) == 0:
             raise EmptySet("median over an empty set")

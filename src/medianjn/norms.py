@@ -109,6 +109,7 @@ from .space import (
     _member_matrix,
     _member_rows,
     _resolve_region,
+    _size_blocks,
     canonical_balls,
 )
 
@@ -166,10 +167,14 @@ def _region_idx(space: Space, region) -> tuple[int, ...]:
     return idx
 
 
-def lp_norm(space: Space, f, region, p: float) -> float:
-    """(sum of w(x) |f(x)|^p over the region)^(1/p)."""
+def _check_p(p: float) -> None:
     if not p > 0.0:
         raise InvalidParameter(f"p must be positive, got {p}")
+
+
+def lp_norm(space: Space, f, region, p: float) -> float:
+    """(sum of w(x) |f(x)|^p over the region)^(1/p)."""
+    _check_p(p)
     idx = list(_region_idx(space, region))
     vals = np.abs(_as_values(space, f)[idx])
     return float((space.weights[idx] * vals**p).sum() ** (1.0 / p))
@@ -181,8 +186,7 @@ def weak_lp_norm(space: Space, g, region, p: float) -> float:
     The supremum is attained as the left limit at sample values, hence the
     computation maximizes v^p mu{|g| >= v} over the distinct values v > 0.
     """
-    if not p > 0.0:
-        raise InvalidParameter(f"p must be positive, got {p}")
+    _check_p(p)
     idx = list(_region_idx(space, region))
     vals = np.abs(_as_values(space, g)[idx])
     return _weak_lp_rows(vals[None], space.weights[idx][None], p)[0]
@@ -282,24 +286,17 @@ def _integral_rows(values: np.ndarray, weights: np.ndarray, words, sizes, q: flo
     c, mu) in row order.  Per set, the objective sum(wn * |v - c|^q) is
     evaluated at every sample value c in stable sorted order, and the
     first minimum wins: the least value at the smallest minimizing c,
-    (0, v) for a constant set.  Sets of one size k go in blocks whose
-    (rows x k x k) objective array stays under ``_BLOCK_ELEMS``
-    (candidates are split for larger k).  Each objective is a row sum
-    over a C-contiguous last axis, the same pairwise sum as the 1-D
-    ``.sum()`` of one set, and so are mu and the normalizing total.
+    (0, v) for a constant set.  Sets of one size k go in the blocks of
+    ``_size_blocks``, whose (rows x k x k) objective array stays under
+    ``_BLOCK_ELEMS`` (candidates are split for larger k).  Each objective
+    is a row sum over a C-contiguous last axis, the same pairwise sum as
+    the 1-D ``.sum()`` of one set, and so are mu and the normalizing total.
     """
-    sizes = np.asarray(sizes, dtype=np.intp)
     m = len(sizes)
     osc, c, mu = np.empty(m), np.empty(m), np.empty(m)
-    by_size = np.argsort(sizes, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(sizes[by_size])) + 1).tolist(), m]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        k = int(sizes[by_size[lo]])
-        step = max(1, _BLOCK_ELEMS // (k * k))
-        for a in range(lo, hi, step):
-            sel = by_size[a : min(a + step, hi)]
-            pts = _member_indices(words[sel], len(values)).reshape(len(sel), k)
-            osc[sel], c[sel], mu[sel] = _integral_block(values, weights, pts, q)
+    for sel, cols in _size_blocks(sizes, lambda k: _BLOCK_ELEMS // (k * k)):
+        pts = _member_indices(words[sel], len(values)).reshape(cols.shape)
+        osc[sel], c[sel], mu[sel] = _integral_block(values, weights, pts, q)
     return osc, c, mu
 
 

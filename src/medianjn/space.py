@@ -27,7 +27,11 @@ directly.  ``Ball`` objects are built from them only where a caller gets
 balls back: ``canonical_balls``, ``cz_family`` and a norm's packing.
 Balls given as (center, radius) pairs, such as a chain decomposition's
 balls and their dilates, come as member rows from one comparison of
-their centers' distance rows (``_ball_rows``).
+their centers' distance rows (``_ball_rows``).  Kernels that take a
+value per row of such a family (the q <= 1 integral oscillation, the
+chain decomposition's ball, link and dilate measures) group the rows
+by size with ``_size_blocks``, whose C-contiguous blocks give each row
+the bits of ``space.mu``.
 
 ``doubling_profile`` reads the same order.  The breaks between distinct
 distances give every center's representative radii, B(c, r_i) is the
@@ -282,11 +286,10 @@ def _ball_rows(space: Space, pairs) -> tuple[list, list, np.ndarray]:
     ``pairs`` is drawn lazily and each pair is checked as ``ball_at``
     checks it, so the first bad pair raises the same error.
     """
-    table = space._index_table()
     centers, radii = [], []
     for center, radius in pairs:
         _check_radius(radius)
-        centers.append(table[center] if center in table else space.index(center))
+        centers.append(space.index(center))
         radii.append(radius)
     rows = space.dist[centers] < np.array(radii, dtype=float).reshape(-1, 1)
     return centers, radii, rows
@@ -395,6 +398,28 @@ def _member_rows(words: np.ndarray, sizes: np.ndarray, n: int):
         for hi in np.cumsum(sizes[a : a + step]).tolist():
             yield flat[lo:hi]
             lo = hi
+
+
+def _size_blocks(sizes, block):
+    """Rows of concatenated point lists, grouped by size, in blocks.
+
+    ``sizes`` gives each row's length.  Yields, per nonzero size k in
+    increasing order, the rows of that size in row order, in blocks of at
+    most ``block(k)`` rows (one at least), each with a C-contiguous
+    (rows, k) array of their positions in the concatenation.  Gathered
+    through it, a block's weights have row sums with the bits of
+    ``space.mu`` on each row, the points taken in the row's own order:
+    the row sum of a C-contiguous array runs the pairwise loop of the
+    1-D sum.  The family kernels that take measures per row rely on this.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    for k in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():
+        rows = np.flatnonzero(sizes == k)
+        step = max(1, block(k))
+        for a in range(0, len(rows), step):
+            part = rows[a : a + step]
+            yield part, starts[part, None] + np.arange(k)
 
 
 def _prefix_family(space: Space, centers, budget=None, inside=None) -> _BallFamily:

@@ -23,6 +23,7 @@ from medianjn.space import (
     _canonical_family,
     _make_ball,
     _prefix_family,
+    _size_blocks,
 )
 
 from util import line_space, random_space, two_point_space
@@ -416,3 +417,22 @@ def test_grid_json_keeps_lattice_ties():
 def test_duplicate_points_rejected():
     with pytest.raises(InvalidParameter):
         mj.build_space(["a", "b"], [1, 1], coords=[[0.0], [0.0]])
+
+
+def test_size_blocks_cover_each_row_once_with_the_bits_of_mu():
+    rng = np.random.default_rng(12)
+    space = mj.grid_space(1, 40, weight_profile="random", seed=12)
+    sizes = rng.integers(0, 30, size=300)
+    flat = np.concatenate([rng.permutation(space.n)[:k] for k in sizes])
+    starts = np.cumsum(sizes) - sizes
+    seen = []
+    for rows, cols in _size_blocks(sizes, lambda k: 500 // k):
+        k = int(sizes[rows[0]])
+        assert k > 0 and (sizes[rows] == k).all()
+        assert len(rows) <= max(1, 500 // k) and cols.flags.c_contiguous
+        assert np.array_equal(cols, starts[rows, None] + np.arange(k))
+        mu = space.weights[flat[cols]].sum(axis=1)
+        for r, m in zip(rows.tolist(), mu.tolist()):
+            assert m.hex() == space.mu(flat[starts[r] : starts[r] + k]).hex()
+        seen.extend(rows.tolist())
+    assert sorted(seen) == np.flatnonzero(sizes).tolist()
