@@ -106,8 +106,9 @@ def decomposition_from_json(space: Space, obj) -> BomanDecomposition:
 
     ``M``, chain keys and entries and link positions are integers: a
     number with a fractional part raises InvalidParameter where ``int``
-    would truncate it.  Raises UnknownBall when the central ball is not
-    among the balls.
+    would truncate it, and a link that is not a list of point id strings
+    raises it too.  Raises UnknownBall when the central ball is not among
+    the balls.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -133,6 +134,8 @@ def decomposition_from_json(space: Space, obj) -> BomanDecomposition:
     links = {}
     for key, ids in obj["links"].items():
         bi, pos = key.split(":")  # a string, which int() parses or refuses whole
+        if not isinstance(ids, list) or not all(isinstance(p, str) for p in ids):
+            raise InvalidParameter(f"link {key} must be a list of point ids, got {ids!r}")
         links[(int(bi), int(pos))] = tuple(ids)
     return BomanDecomposition(
         region=tuple(obj["region"]),

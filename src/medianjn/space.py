@@ -41,9 +41,26 @@ numpy's pairwise sum over the members in index order, so prefixes are
 not summed by ``cumsum`` or over zero-padded rows, which group the
 additions differently: per prefix length L, the members of every prefix
 of that length are gathered in index order into one (rows, L) array and
-summed along its rows.  The certificate then scans, per center x, every
-(y, r) pair in decreasing order of r^D / mu(B(y, r)), so that each of
-x's radii R needs only the first pair with y in B(x, R) and r <= R.
+summed along its rows.
+
+The certificate's ratio at (x, R) is lead(x, R) = mu(B(x, R)) /
+(c_mu^2 R^D) times the largest g = r^D / mu(B(y, r)) over the (y, r)
+events with y in B(x, R) and r <= R among y's radii.  Sweeping a center
+x scans every event in decreasing order of g, so that each of x's radii
+needs only the first event that counts for it.  Not every center is
+swept.  Each gets a bound first: the largest lead(x, R) times top(R),
+the largest g over all events with r <= R whatever y is, which one
+running minimum of radius ranks along the same event order gives.
+Rounded products are monotone, so no ratio of x exceeds its bound.
+Centers are swept in decreasing bound order (stable), and the sweep
+stops at the first center whose bound is strictly below the worst ratio
+found so far.  Every center left then has all its ratios strictly below
+that worst ratio, so the maximum, and each (x, R) that attains it, lies
+among the swept centers; unswept ratios stay -inf, and the first
+maximum in (center, radius) order is the one the tie rule of
+``DoublingProfile`` names.  A center whose bound only equals the worst
+ratio is still swept, since it may attain that ratio at an earlier
+(x, R).
 """
 
 from __future__ import annotations
@@ -268,12 +285,24 @@ def build_space(point_ids, weights, *, coords=None, distances=None) -> Space:
 
 
 def _check_radius(radius) -> None:
+    """Refuse a radius that is not a real number (InvalidParameter) or not positive.
+
+    Python and numpy ints and floats pass; a string, None, a list or a
+    bool (Python or numpy) does not.
+    """
+    if isinstance(radius, bool) or not isinstance(radius, (float, int, np.floating, np.integer)):
+        raise InvalidParameter(f"radius must be a real number, got {radius!r}")
     if not (radius > 0.0):
         raise NonPositiveRadius(f"radius must be positive, got {radius}")
 
 
 def ball_at(space: Space, center: str, radius: float) -> Ball:
-    """The ball {y : d(center, y) < radius} with strict inequality."""
+    """The ball {y : d(center, y) < radius} with strict inequality.
+
+    Raises InvalidParameter when the radius is not a real number (a
+    string, None or a bool), NonPositiveRadius when it is not positive and
+    UnknownCenter.
+    """
     _check_radius(radius)
     return _make_ball(space, space.index(center), radius)
 
@@ -628,17 +657,27 @@ def doubling_profile(space: Space) -> DoublingProfile:
     # monotone, so the largest product is lead times the largest g.
     g = np.concatenate([radii[a:b] ** dim for a, b in zip(starts[:-1], starts[1:])]) / mu
     c_sq = c_mu * c_mu
-    lead = np.empty(len(g))
     by_g = np.argsort(-g, kind="stable")
     g_desc = g[by_g]
     event_y = centers[by_g]
     distinct_radii, radius_rank = np.unique(radii, return_inverse=True)
     event_rank = radius_rank[by_g]
-    best = np.empty(len(g))
-    for x in range(n):
+    # Python floats: numpy's array power can differ from ** in the last bit.
+    powers = np.array([r**dim for r in distinct_radii.tolist()])
+    lead = mu / (c_sq * powers[radius_rank])
+    # Bound per center: the largest lead(x, R) times top(R), the largest g
+    # over every event with r <= R whatever y is.  Events run by decreasing
+    # g, so top(R) is g at the first event whose running minimum of radius
+    # ranks reaches R's rank.
+    reach = np.minimum.accumulate(event_rank)
+    top = g_desc[np.searchsorted(-reach, -np.arange(len(distinct_radii)))]
+    bound = np.maximum.reduceat(lead * top[radius_rank], starts[:-1])
+    ratios = np.full(len(g), -np.inf)
+    worst = -np.inf
+    for x in np.argsort(-bound, kind="stable").tolist():
+        if bound[x] < worst:  # no later center can reach the worst ratio
+            break
         a, b = starts[x], starts[x + 1]
-        # Python floats: numpy's array power can differ from ** in the last bit.
-        lead[a:b] = [m / (c_sq * r**dim) for r, m in zip(radii[a:b].tolist(), mu[a:b].tolist())]
         # An event (y, r) counts for (x, R_i) from the first i with
         # y in B(x, R_i) and r <= R_i; events run by decreasing g, so the
         # largest g at i is the first event whose running minimum is <= i.
@@ -646,8 +685,8 @@ def doubling_profile(space: Space) -> DoublingProfile:
         below[radius_rank[a:b] + 1] = 1
         np.cumsum(below, out=below)
         enters = np.minimum.accumulate(np.maximum(level[x][event_y], below[event_rank]))
-        best[a:b] = g_desc[np.searchsorted(-enters, -np.arange(b - a))]
-    ratios = lead * best
+        ratios[a:b] = lead[a:b] * g_desc[np.searchsorted(-enters, -np.arange(b - a))]
+        worst = max(worst, ratios[a:b].max())
     k = int(ratios.argmax())  # the first (x, R) attaining the worst ratio
     worst_ratio = float(ratios[k])
     x, big_r = int(centers[k]), float(radii[k])

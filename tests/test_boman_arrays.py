@@ -529,6 +529,17 @@ def test_decomposition_json_refuses_fractional_numbers():
         mj.decomposition_from_json(g, {**obj, "chains": {**obj["chains"], "0": ["x"]}})
 
 
+def test_decomposition_json_refuses_links_that_are_not_id_lists():
+    g = mj.grid_space(1, 32, spacing=1 / 32)
+    obj = mj.grid_boman_decomposition(g, mj.ball_at(g, "p16", 5.0)).to_json()
+    for bad in ([["p0"]], "p0", ["p0", 1], None, {"p0": 1}):
+        with pytest.raises(InvalidParameter, match="list of point ids"):
+            mj.decomposition_from_json(g, {**obj, "links": {**obj["links"], "0:1": bad}})
+    # An unknown id is still a string: it loads, and the verifier names it.
+    back = mj.decomposition_from_json(g, {**obj, "links": {**obj["links"], "0:1": ["zz"]}})
+    assert back.links[(0, 1)] == ("zz",)
+
+
 # ---------------------------------------------------------------- row kernels
 
 

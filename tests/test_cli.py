@@ -216,7 +216,18 @@ def test_verify_boman_empty_chain_fails_certificate(boman_files, capsys):
 def _malformed(obj):
     """Malformed variants of a decomposition's JSON, each with its exit code."""
     chain0 = obj["chains"]["0"]
+
+    def ball3_radius(radius):
+        balls = [dict(b) for b in obj["balls"]]
+        balls[3]["radius"] = radius
+        return {"balls": balls}
+
     return {
+        "string radius": (2, ball3_radius("0.5")),
+        "boolean radius": (2, ball3_radius(True)),
+        "null radius": (2, ball3_radius(None)),
+        "non-hashable link id": (2, {"links": {**obj["links"], "0:1": [["p0"]]}}),
+        "link not a list": (2, {"links": {**obj["links"], "0:1": "p0"}}),
         "unknown link id": (2, {"links": {**obj["links"], "0:1": ["zz"]}}),
         "bad link key": (2, {"links": {**obj["links"], "0-1": ["p0"]}}),
         "non-integer string chain entry": (2, {"chains": {**obj["chains"], "0": ["a"]}}),
@@ -237,3 +248,21 @@ def test_verify_boman_malformed_exit_codes(boman_files, capsys):
             assert "error" in captured.err and not captured.out, name
         else:
             assert captured.out.rstrip().endswith("PASS" if code == 0 else "FAIL"), name
+
+
+@pytest.mark.parametrize("radius", ["0.5", True, None, [0.5]])
+def test_five_cover_non_numeric_radius_exits_2(tmp_path, capsys, radius):
+    g = mj.grid_space(1, 32, spacing=1 / 32)
+    space_path = tmp_path / "line32.json"
+    space_path.write_text(json.dumps(mj.space_to_json(g)))
+    balls_path = tmp_path / "balls.json"
+    argv = ["five-cover", "--space", str(space_path), "--balls", str(balls_path)]
+    balls = [{"center": "p0", "radius": 0.25}, {"center": "p9", "radius": 0.125}]
+    balls_path.write_text(json.dumps(balls))
+    assert main(argv) == 0
+    capsys.readouterr()
+    balls[1]["radius"] = radius
+    balls_path.write_text(json.dumps(balls))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "radius must be a real number" in captured.err and not captured.out

@@ -75,6 +75,22 @@ def test_ball_errors():
         mj.ball_at(g, "nope", 1.0)
 
 
+@pytest.mark.parametrize("radius", ["0.5", None, [1.0], True, False, np.True_])
+def test_non_numeric_radius_is_invalid_parameter(radius):
+    # A JSON radius of "0.5" or true reaches ball_at unconverted.
+    g = mj.grid_space(1, 5)
+    with pytest.raises(InvalidParameter, match="real number"):
+        mj.ball_at(g, "p2", radius)
+
+
+def test_numeric_radius_types_are_accepted():
+    g = mj.grid_space(1, 5)
+    for radius in (2, 1.5, np.int64(2), np.float32(1.5), np.float64(1.5)):
+        assert mj.ball_at(g, "p2", radius).members == ("p1", "p2", "p3")
+    with pytest.raises(NonPositiveRadius):
+        mj.ball_at(g, "p2", float("nan"))
+
+
 def test_dilate():
     g = mj.grid_space(1, 5)
     b = mj.ball_at(g, "p2", 1.0)
@@ -378,6 +394,22 @@ def test_doubling_profile_matches_per_radius_loop():
         line_space([0.0, 4.0, 6.0, 8.0], weights=[4.0, 1.0, 2.0, 1.0]),
         mj.build_space(["a", "b", "c"], [4.0, 1.0, 2.0], coords=[[4.0, 1.0], [6.0, 5.0], [8.0, 6.0]]),
     ]
+    # Tie-heavy spaces, where several centers reach the worst ratio or a
+    # center's bound equals it: the sweep must stop only strictly below it.
+    spaces += [mj.grid_space(1, n, spacing=h) for h in (1.0, 0.25, 1.0 / 64) for n in range(2, 40)]
+    spaces += [mj.grid_space(2, n) for n in range(2, 10)]
+    spaces += [mj.cluster_space(depth) for depth in range(1, 7)]
+    # Points 4, 5 and 9 with weights 3, 1 and 3: the per-center bounds
+    # (largest lead(x, R) times the largest r^D / mu(B(y, r)) over r <= R)
+    # are 0.1875 for p0, 0.1458 for p1 and 0.1094 for p2.  The sweep visits
+    # p0 first, but the worst ratio, 0.1458 at (p1, 4 * FULL_BALL_BUMP),
+    # is p1's; p2 is never swept.
+    spaces.append(line_space([4.0, 5.0, 9.0], weights=[3.0, 1.0, 3.0]))
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(rng.integers(2, 13))
+        positions = rng.choice(20, size=n, replace=False).tolist()
+        spaces.append(line_space(positions, weights=rng.integers(1, 4, size=n).astype(float).tolist()))
     for sp in spaces:
         prof = mj.doubling_profile(sp)
         got = (prof.c_mu, prof.dimension, prof.certificate_ok, prof.worst_quadruple, prof.worst_ratio)
