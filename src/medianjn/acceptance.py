@@ -31,6 +31,7 @@ from .boman import (
 )
 from .covering import five_cover
 from .czd import (
+    _threshold,
     cz_decompose,
     cz_nested,
     cz_params,
@@ -151,11 +152,7 @@ def spike_cluster_config(rng, p=2.0, K=None):
     vals[star] = height
     f = SampleFunction.from_values(cs, vals)
 
-    hat_idx = list(params.b0_hat.idx)
-    thr = weighted_maximal_median(
-        np.abs(f.values)[hat_idx], cs.weights[hat_idx], params.t / params.alpha
-    )
-    return params, f, thr, height
+    return params, f, _threshold(params, np.abs(f.values)), height
 
 
 # ---------------------------------------------------------------- criterion 1

@@ -48,13 +48,14 @@ from .errors import (
     UnknownBall,
     UnverifiedDecomposition,
 )
-from .median import _as_values, _check_s, _maximal_median_rows, maximal_median
-from .norms import _BLOCK_ELEMS, _check_p, _weak_lp_rows, jn_integral_norm, jn_median_norm
+from .median import _BLOCK_ELEMS, _as_values, _check_s, _maximal_median_rows, maximal_median
+from .norms import _check_p, _weak_lp_rows, jn_integral_norm, jn_median_norm
 from .space import (
     Ball,
     Space,
     _ball_rows,
     _balls_at,
+    _balls_from_json,
     _pack_rows,
     _point_ids,
     _size_blocks,
@@ -112,7 +113,7 @@ def decomposition_from_json(space: Space, obj) -> BomanDecomposition:
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
-    balls = _balls_at(space, ((b["center"], b["radius"]) for b in obj["balls"]))
+    balls = _balls_from_json(space, obj["balls"])
     central_spec = obj["central"]
     central = next(
         (

@@ -31,7 +31,7 @@ from .norms import (
     jn_integral_norm,
     jn_median_norm,
 )
-from .space import ball_at, doubling_profile, space_from_json, space_to_json
+from .space import _balls_from_json, ball_at, doubling_profile, space_from_json, space_to_json
 
 
 def _load_space(path):
@@ -265,8 +265,7 @@ def _run(args) -> int:
 
     if cmd == "five-cover":
         with open(args.balls) as fh:
-            ball_specs = json.load(fh)
-        balls = [ball_at(space, b["center"], b["radius"]) for b in ball_specs]
+            balls = _balls_from_json(space, json.load(fh))
         cover = five_cover(space, balls)
         payload = {
             "selected": [{"center": b.center, "radius": b.radius} for b in cover.selected],

@@ -11,11 +11,18 @@ matters: it is what makes the family saturate the radius budget the way
 the set of all real radii does, which in turn makes the stopping-time
 certificates provable rather than merely plausible.
 
+The family is held as arrays (``space._BallFamily``), cached with the
+space per (B0 members, budget); a SampleFunction keeps its t-medians per
+(family, t), computed a row at a time.
+
 The decomposition at level lambda selects, for every point of the level
 set E_lambda = {x in hat-B0 : M f(x) > lambda} of the median maximal
 function, the largest family ball through x whose t-median exceeds lambda,
-then extracts a disjoint subfamily via the 5-covering step.  Four
-certificates are recorded and verified on every run:
+then extracts a disjoint subfamily via the 5-covering step.  The witness
+of x is the first row in (-radius, center index, row) order that holds
+x, has median above lambda and, in the nested construction, contains the
+higher level's witness of x (tested on packed words).  Four certificates
+are recorded and verified on every run:
 
   (i)   union B_i  is inside  E_lambda  is inside  union 5 B_i,
   (ii)  r_Bi <= (eta / 5) r_B0,
@@ -43,14 +50,17 @@ from .errors import (
     PreconditionViolated,
     ThresholdViolated,
 )
-from .median import _as_values, maximal_median, weighted_maximal_median
+from .median import _as_values, _memo, maximal_median, weighted_maximal_median
 from .norms import jn_median_norm
 from .space import (
     Ball,
     DoublingProfile,
     Space,
+    _BallFamily,
+    _canonical_family,
     _family_balls,
-    _prefix_family,
+    _member_matrix,
+    _member_rows,
     dilate,
     doubling_profile,
 )
@@ -71,15 +81,22 @@ def cz_family(space: Space, b0: Ball, eta: float) -> tuple[Ball, ...]:
 
     Per center, one ball per member-set class with representative radius
     min(class upper endpoint, budget); classes are deduplicated by member
-    set keeping the largest radius, then the smallest center index.
-    Raises EmptyBase.
+    set keeping the largest radius, then the smallest center index.  The
+    space keeps the latest family's tuple, so repeated calls with the same
+    B0 members and budget share it.  Raises EmptyBase.
     """
     if not eta > 0.0:
         raise InvalidParameter(f"eta must be positive, got {eta}")
     if b0.size == 0:
         raise EmptyBase("cz_family needs a nonempty base ball")
-    budget = eta * b0.radius
-    return _family_balls(space, _prefix_family(space, b0.idx, budget=budget))
+    key = (b0.idx, eta * b0.radius)
+    cache = space._cache()
+    # One family's Balls only: kept for every key, the balls of a long
+    # run's families would add up, while their arrays stay small.
+    latest = cache.get("cz_balls")
+    if latest is None or latest[0] != key:
+        latest = cache["cz_balls"] = (key, _family_balls(space, _canonical_family(space, *key)))
+    return latest[1]
 
 
 def _s0(profile: DoublingProfile, alpha: float) -> float:
@@ -109,7 +126,6 @@ class CZParams:
     beta: float
     s0: float
     family: tuple[Ball, ...]
-    point_balls: tuple[tuple[int, ...], ...]
 
     @property
     def budget(self) -> float:
@@ -136,10 +152,6 @@ def cz_params(
     if not K > 1.0:
         raise InvalidParameter(f"K must exceed 1, got {K}")
     family = cz_family(space, b0, eta)
-    point_balls: list[list[int]] = [[] for _ in range(space.n)]
-    for bi, ball in enumerate(family):
-        for x in ball.idx:
-            point_balls[x].append(bi)
     alpha = alpha_of(profile, eta)
     c3 = profile.c_mu**3
     return CZParams(
@@ -155,21 +167,28 @@ def cz_params(
         beta=float(2.0 * K**p * c3),
         s0=_s0(profile, alpha),
         family=family,
-        point_balls=tuple(tuple(lst) for lst in point_balls),
     )
 
 
 # ---------------------------------------------------------------- maximal functions
 
 
-def _family_medians(params: CZParams, g: np.ndarray, level: float) -> np.ndarray:
-    w = params.space.weights
-    return np.array(
-        [
-            weighted_maximal_median(g[list(b.idx)], w[list(b.idx)], level)
-            for b in params.family
-        ]
-    )
+def _family_medians(f, params: CZParams, family: _BallFamily) -> np.ndarray:
+    """The t-median of |f| on every CZ family row; a SampleFunction keeps them."""
+    space = params.space
+
+    def compute():
+        g, w = np.abs(_as_values(space, f)), space.weights
+        rows = _member_rows(family.words, family.sizes, space.n)
+        return np.array([weighted_maximal_median(g[row], w[row], params.t) for row in rows])
+
+    return _memo(f, ("cz_medians", params.b0.idx, params.budget, params.t), compute)
+
+
+def _threshold(params: CZParams, g: np.ndarray) -> float:
+    """The t/alpha-median of g on hat-B0."""
+    hat = list(params.b0_hat.idx)
+    return weighted_maximal_median(g[hat], params.space.weights[hat], params.t / params.alpha)
 
 
 def median_maximal(space: Space, f, x: str, family, t: float) -> float:
@@ -265,67 +284,59 @@ def _dilate_class_sets(space: Space, ball: Ball, budget: float):
     return sets
 
 
-def cz_decompose(
-    f,
-    params: CZParams,
-    lam: float,
-    _medians: np.ndarray | None = None,
-    _containment: dict | None = None,
-) -> CZDecomposition:
+def cz_decompose(f, params: CZParams, lam: float) -> CZDecomposition:
     """Calderon-Zygmund balls of |f| at level lambda.
 
     Preconditions (checked): the t/alpha-median of |f| on hat-B0 is at most
     lambda (else ThresholdViolated) and E_lambda is nonempty (else
-    EmptyLevelSet).  ``_containment`` maps point ids to balls that their
-    witness must contain; the nested construction uses it to keep the
-    lower-level witness above the higher-level one.
+    EmptyLevelSet).
+    """
+    return _decompose(f, params, lam, {})[0]
+
+
+def _decompose(f, params: CZParams, lam: float, required: dict):
+    """``cz_decompose`` whose witnesses contain given rows, and each point's witness row.
+
+    ``required`` maps a point index to a family row through that point
+    whose median exceeds lambda, such as its witness at a higher level.
     """
     space = params.space
     g = np.abs(_as_values(space, f))
-    med = _medians if _medians is not None else _family_medians(params, g, params.t)
-
-    hat_idx = list(params.b0_hat.idx)
-    threshold = weighted_maximal_median(
-        g[hat_idx], space.weights[hat_idx], params.t / params.alpha
-    )
+    threshold = _threshold(params, g)
     if threshold > lam:
         raise ThresholdViolated(
             f"median threshold {threshold:.6g} exceeds level {lam:.6g}"
         )
+    family = _canonical_family(space, params.b0.idx, params.budget)
+    med = _family_medians(f, params, family)
 
-    maximal = np.zeros(space.n)
-    for bi, ball in enumerate(params.family):
-        idx = list(ball.idx)
-        maximal[idx] = np.maximum(maximal[idx], med[bi])
-    e_idx = [x for x in params.b0_hat.idx if maximal[x] > lam]
+    # Candidate witnesses: the rows whose median exceeds lambda, in
+    # (-radius, center index, row) order; the rows come in (center, radius)
+    # order, so a stable sort by -radius gives it.  lambda >= threshold >= 0,
+    # so a point of hat-B0 lies in E_lambda exactly when a candidate holds it.
+    hot = np.flatnonzero(med > lam)
+    hot = hot[np.argsort(-family.radii[hot], kind="stable")]
+    words = family.words[hot]
+    member = _member_matrix(words, space.n)
+    hat = np.array(params.b0_hat.idx, dtype=np.intp)
+    e_idx = hat[member.any(axis=0)[hat]].tolist()
     if not e_idx:
         raise EmptyLevelSet(f"no point of hat-B0 has maximal function above {lam:.6g}")
 
-    witness_index: dict[int, int] = {}
-    for x in e_idx:
-        required = _containment.get(space.point_ids[x]) if _containment else None
-        need = set(required.idx) if required is not None else set()
-        best = None
-        for bi in params.point_balls[x]:
-            if med[bi] <= lam:
-                continue
-            ball = params.family[bi]
-            if not need.issubset(ball.idx):
-                continue
-            rank = (-ball.radius, space.index(ball.center), bi)
-            if best is None or rank < best[0]:
-                best = (rank, bi)
-        if best is None:
-            raise CertificateViolation(
-                f"no admissible witness ball for point {space.point_ids[x]!r}"
-            )
-        witness_index[x] = best[1]
+    # A point's witness is its first candidate; a required row moves it to
+    # the first candidate containing that row.
+    first = hot[member.argmax(axis=0)].tolist()
+    above = {}
+    for row in set(required.values()):
+        # w & r != r, not r & ~w: see boman._escapes.
+        misses = ((words & family.words[row]) != family.words[row]).any(axis=1)
+        above[row] = int(hot[np.flatnonzero(~misses)[0]])
+    witness_index = {x: above[required[x]] if x in required else first[x] for x in e_idx}
 
     witness_ids = sorted(set(witness_index.values()))
     witnesses = tuple(params.family[bi] for bi in witness_ids)
-    witness_of = {
-        space.point_ids[x]: witness_ids.index(bi) for x, bi in witness_index.items()
-    }
+    position = {bi: pos for pos, bi in enumerate(witness_ids)}
+    witness_of = {space.point_ids[x]: position[bi] for x, bi in witness_index.items()}
     cover = five_cover(space, witnesses)
 
     # -- certificates -------------------------------------------------
@@ -338,11 +349,7 @@ def cz_decompose(
 
     limit = (params.eta / 5.0) * params.b0.radius * (1.0 + _REL_EPS)
     radius_ok = all(b.radius <= limit for b in cover.selected)
-    family_ok = all(
-        ball.radius <= limit
-        for ball, m in zip(params.family, med)
-        if m > threshold
-    )
+    family_ok = bool((family.radii[med > threshold] <= limit).all())
 
     # The selected balls are witnesses, so their medians exceed lambda by
     # construction; re-check directly against the function values.
@@ -375,7 +382,7 @@ def cz_decompose(
         raise CertificateViolation(
             f"decomposition at level {lam:.6g} failed {certificates}"
         )
-    return CZDecomposition(
+    decomposition = CZDecomposition(
         lam=float(lam),
         threshold=float(threshold),
         balls=cover.selected,
@@ -385,6 +392,7 @@ def cz_decompose(
         cover=cover,
         certificates=certificates,
     )
+    return decomposition, witness_index
 
 
 def cz_nested(
@@ -399,30 +407,17 @@ def cz_nested(
     """
     if lam_low > lam_high:
         raise InvalidParameter("lam_low must not exceed lam_high")
-    space = params.space
-    g = np.abs(_as_values(space, f))
-    med = _family_medians(params, g, params.t)
-    high = cz_decompose(f, params, lam_high, _medians=med)
-
+    high, high_rows = _decompose(f, params, lam_high, {})
     # Points of E_high must reuse a witness containing their high witness.
-    constraint = {
-        pid: high.witnesses[wi] for pid, wi in high.witness_of.items()
-    }
-    low = cz_decompose(f, params, lam_low, _medians=med, _containment=constraint)
+    low, _ = _decompose(f, params, lam_low, high_rows)
 
+    rep = {}  # each high witness's first point
+    for pid, wi in high.witness_of.items():
+        rep.setdefault(wi, pid)
     pairs = []
     for hi_pos, ball in enumerate(high.balls):
-        rep = None
-        for pid, wi in high.witness_of.items():
-            if high.witnesses[wi] == ball:
-                rep = pid
-                break
-        if rep is None:
-            raise CertificateViolation("selected high ball has no witness point")
-        low_wpos = low.witness_of[rep]
-        low_pos = low.cover.assignment[low_wpos]
-        cover_ball = low.cover.dilates[low_pos]
-        if not set(ball.idx).issubset(cover_ball.idx):
+        low_pos = low.cover.assignment[low.witness_of[rep[high.witnesses.index(ball)]]]
+        if not set(ball.idx).issubset(low.cover.dilates[low_pos].idx):
             raise CertificateViolation(
                 f"high ball {ball.ball_id()} escapes 5-dilate of "
                 f"{low.balls[low_pos].ball_id()}"
@@ -477,11 +472,7 @@ def good_lambda_sides(f, params: CZParams, p: float, s: float, lam: float) -> Go
         raise PreconditionViolated(
             f"s={s:.6g} exceeds t / (2 K^p c_mu^3) = {params.t / params.beta:.6g}"
         )
-    g = np.abs(_as_values(space, f))
-    hat_idx = list(params.b0_hat.idx)
-    threshold = weighted_maximal_median(
-        g[hat_idx], space.weights[hat_idx], params.t / params.alpha
-    )
+    threshold = _threshold(params, np.abs(_as_values(space, f)))
     if threshold > lam:
         raise PreconditionViolated(
             f"median threshold {threshold:.6g} exceeds level {lam:.6g}"
@@ -587,9 +578,7 @@ def local_jn_verify(
     center = maximal_median(space, f, params.b0, r_center)
     g = np.abs(_as_values(space, f) - center)
     hat_idx = list(params.b0_hat.idx)
-    lambda0 = weighted_maximal_median(
-        g[hat_idx], space.weights[hat_idx], params.t / params.alpha
-    )
+    lambda0 = _threshold(params, g)
     norm = jn_median_norm(space, f, params.b0_hat, p, s, mode="exact", force=True)
     c_const = local_jn_constant(p, params.profile.c_mu)
 

@@ -49,7 +49,9 @@ import numpy as np
 from .errors import EmptySet, InvalidParameter, InvalidS
 from .space import Space, _member_indices, _resolve_region
 
-# Padded (rows x width) elements per block of the batched shorth kernel.
+# Elements per block of the row kernels in median, norms and boman, which
+# keep each block's temporaries under it; pairwise packed-word tiles take
+# half.
 _BLOCK_ELEMS = 1 << 14
 
 
@@ -89,6 +91,16 @@ class SampleFunction:
         if isinstance(obj, str):
             obj = json.loads(obj)
         return SampleFunction.from_mapping(space, obj["values"])
+
+
+def _memo(f, key, compute):
+    """``compute()``, kept on ``f`` under ``key`` when f is a SampleFunction."""
+    if not isinstance(f, SampleFunction):
+        return compute()
+    hit = f._cache.get(key)
+    if hit is None:
+        hit = f._cache[key] = compute()
+    return hit
 
 
 def _check_s(s: float) -> None:
@@ -176,17 +188,13 @@ def is_s_median(space: Space, value: float, f, subset, s: float) -> bool:
 def median_oscillation(space: Space, f, subset, s: float) -> tuple[float, float]:
     """Exact inf over c of m_{|f - c|}^s(B) and the smallest minimizing c."""
     q = MedianQuery.of(space, subset, s)
-    if isinstance(f, SampleFunction):
-        key = ("osc", q.idx, q.s)
-        hit = f._cache.get(key)
-        if hit is not None:
-            return hit
-    members, sizes = np.array(q.idx, dtype=np.intp), np.array([len(q.idx)])
-    osc, c, _ = _shorth_block(_as_values(space, f), space.weights, members, sizes, q.s)
-    result = (float(osc[0]), float(c[0]))
-    if isinstance(f, SampleFunction):
-        f._cache[key] = result
-    return result
+
+    def compute():
+        members, sizes = np.array(q.idx, dtype=np.intp), np.array([len(q.idx)])
+        osc, c, _ = _shorth_block(_as_values(space, f), space.weights, members, sizes, q.s)
+        return (float(osc[0]), float(c[0]))
+
+    return _memo(f, ("osc", q.idx, q.s), compute)
 
 
 def _shorth_rows(values: np.ndarray, weights: np.ndarray, words, sizes, s: float):

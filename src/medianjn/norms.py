@@ -74,7 +74,8 @@ Every objective, measure and total is a row sum over a C-contiguous last
 axis, the same pairwise sum as the one-ball ``.sum()``, so the values
 keep their bits.  ``jn_integral_norm`` makes one such call per
 (region, q) and a SampleFunction keeps the result; norm terms
-mu * osc**(p/q) are formed from Python floats.
+mu * osc**(p/q) are formed from Python floats.  ``jn_centered_sup`` keeps
+its two maximal medians per member row the same way, per (region, s, t).
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ from .errors import (
     NonPositiveQ,
 )
 from .median import (
-    SampleFunction,
+    _BLOCK_ELEMS,
     _as_values,
+    _memo,
     _shorth_rows,
     weighted_maximal_median,
 )
@@ -110,16 +112,9 @@ from .space import (
     _member_rows,
     _resolve_region,
     _size_blocks,
-    canonical_balls,
 )
 
 EXACT_MODE_LIMIT = 32
-
-# Elements per block of three array kernels: the (rows x candidates x size)
-# objective array of the q <= 1 integral oscillation, the (rows x points)
-# rank view of the packing search's run test, and (at half size) the
-# (rows x rows x words) subset test of its dominance pass.
-_BLOCK_ELEMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -321,15 +316,7 @@ def _cached_family(space: Space, f, idx: tuple[int, ...], key: tuple, compute):
     One call per (region, key); a SampleFunction keeps the result.
     """
     family = _canonical_family(space, idx)
-    key = (*key, idx)
-    if isinstance(f, SampleFunction):
-        hit = f._cache.get(key)
-        if hit is not None:
-            return family, hit
-    hit = compute(family)
-    if isinstance(f, SampleFunction):
-        f._cache[key] = hit
-    return family, hit
+    return family, _memo(f, (*key, idx), lambda: compute(family))
 
 
 def _family_oscillations(space: Space, f, idx: tuple[int, ...], s: float):
@@ -553,12 +540,6 @@ def _jn_norm(space, family, oscs, terms, p, mode, force):
     )
 
 
-def _per_ball_norm(space, region, p, per_ball, mode, force):
-    idx = _region_idx(space, region)
-    oscs, terms = zip(*map(per_ball, canonical_balls(space, idx)))
-    return _jn_norm(space, _canonical_family(space, idx), oscs, terms, p, mode, force)
-
-
 def jn_median_norm(
     space: Space, f, region, p: float, s: float, mode: str = "exact", force: bool = False
 ) -> JNResult:
@@ -596,14 +577,20 @@ def jn_centered_sup(
         raise InvalidS(f"need 0 < s <= t <= 1/2, got s={s}, t={t}")
     vals = _as_values(space, f)
 
-    def per_ball(ball):
-        idx = list(ball.idx)
-        w = space.weights[idx]
-        center = weighted_maximal_median(vals[idx], w, t)
-        osc = weighted_maximal_median(np.abs(vals[idx] - center), w, s)
-        return osc, space.mu(ball.idx) * osc**p
+    def compute(family):
+        oscs, mus = [], []
+        for row in _member_rows(family.words, family.sizes, space.n):
+            w = space.weights[row]
+            center = weighted_maximal_median(vals[row], w, t)
+            oscs.append(weighted_maximal_median(np.abs(vals[row] - center), w, s))
+            mus.append(space.mu(row))
+        return oscs, mus
 
-    return _per_ball_norm(space, region, p, per_ball, mode, force)
+    key = ("centered_family", float(s), float(t))
+    family, (oscs, mus) = _cached_family(space, f, _region_idx(space, region), key, compute)
+    # Python floats: numpy's vectorised power can differ from ** in the last bit.
+    terms = [mu * osc**p for mu, osc in zip(mus, oscs)]
+    return _jn_norm(space, family, oscs, terms, p, mode, force)
 
 
 def jn_integral_norm(

@@ -18,10 +18,11 @@ distance order, ending where the distance changes.  The order of every
 row is computed once per space and cached.  A ball family (the canonical
 balls of a region, or the CZ family of ``czd.cz_family``) is held as
 arrays, one row per distinct member set: center index, radius, size and
-the member set packed into 64-bit words.  One pass builds every center's
-rows at once.  The prefix ends and radii come from the sorted distance
-rows, and a running OR along the order, over blocks of centers whose bit
-array stays under 64 KiB, packs each prefix.  Duplicate member sets are
+the member set packed into 64-bit words, cached per (region, CZ budget)
+by ``_canonical_family``.  One pass builds every center's rows at once.
+The prefix ends and radii come from the sorted distance rows, and a
+running OR along the order, over blocks of centers whose bit array stays
+under 64 KiB, packs each prefix.  Duplicate member sets are
 found by one sort of the packed rows.  The norms read these arrays
 directly.  ``Ball`` objects are built from them only where a caller gets
 balls back: ``canonical_balls``, ``cz_family`` and a norm's packing.
@@ -121,10 +122,10 @@ class Space:
         return float(self.weights.sum())
 
     def index(self, point_id: str) -> int:
-        try:
-            return self._index_table()[point_id]
-        except KeyError:
-            raise UnknownCenter(f"unknown point id {point_id!r}") from None
+        """The index of a point id; UnknownCenter for any other value, a non-string too."""
+        if isinstance(point_id, str) and (i := self._index_table().get(point_id)) is not None:
+            return i
+        raise UnknownCenter(f"unknown point id {point_id!r}")
 
     def _index_table(self) -> dict:
         """Point id -> index (cached)."""
@@ -340,6 +341,19 @@ def _balls_at(space: Space, pairs) -> tuple[Ball, ...]:
         )
         for c, r, lo, hi in zip(centers, radii, [0, *ends], ends)
     )
+
+
+def _balls_from_json(space: Space, obj) -> tuple[Ball, ...]:
+    """The balls of a JSON list ``[{"center": id, "radius": r}, ...]``, in order.
+
+    Any other shape raises InvalidParameter; each (center, radius) pair is
+    then checked as ``ball_at`` checks it.
+    """
+    shaped = isinstance(obj, list) and all(
+        isinstance(b, dict) and {"center", "radius"} <= b.keys() for b in obj)
+    if not shaped:
+        raise InvalidParameter(f"balls must be a list of {{center, radius}}, got {obj!r:.80}")
+    return _balls_at(space, ((b["center"], b["radius"]) for b in obj))
 
 
 def dilate(space: Space, ball: Ball, lam: float) -> Ball:
@@ -560,17 +574,20 @@ def _family_balls(space: Space, family: _BallFamily, rows=None) -> tuple[Ball, .
     return tuple(balls)
 
 
-def _canonical_family(space: Space, region_idx: tuple[int, ...]) -> _BallFamily:
-    """The family of ``canonical_balls`` for a resolved, nonempty region (cached)."""
-    key = ("family", region_idx)
+def _canonical_family(space: Space, region_idx: tuple[int, ...], budget=None) -> _BallFamily:
+    """The family of ``canonical_balls`` for a resolved, nonempty region (cached).
+
+    With a budget, that of ``czd.cz_family`` for a base ball with these members.
+    """
+    key = ("family", region_idx, budget)
     cache = space._cache()
     family = cache.get(key)
     if family is None:
         inside = None
-        if len(region_idx) < space.n:
+        if budget is None and len(region_idx) < space.n:
             inside = np.zeros(space.n, dtype=bool)
             inside[list(region_idx)] = True
-        family = cache[key] = _prefix_family(space, region_idx, inside=inside)
+        family = cache[key] = _prefix_family(space, region_idx, budget, inside)
     return family
 
 

@@ -217,15 +217,20 @@ def _malformed(obj):
     """Malformed variants of a decomposition's JSON, each with its exit code."""
     chain0 = obj["chains"]["0"]
 
-    def ball3_radius(radius):
+    def ball3(**fields):
         balls = [dict(b) for b in obj["balls"]]
-        balls[3]["radius"] = radius
+        balls[3].update(fields)
         return {"balls": balls}
 
     return {
-        "string radius": (2, ball3_radius("0.5")),
-        "boolean radius": (2, ball3_radius(True)),
-        "null radius": (2, ball3_radius(None)),
+        "string radius": (2, ball3(radius="0.5")),
+        "boolean radius": (2, ball3(radius=True)),
+        "null radius": (2, ball3(radius=None)),
+        "list center": (2, ball3(center=["p0"])),
+        "balls an object": (2, {"balls": obj["balls"][0]}),
+        "balls null": (2, {"balls": None}),
+        "balls of numbers": (2, {"balls": [0.5, 1.0]}),
+        "balls of strings": (2, {"balls": ["p0", "p1"]}),
         "non-hashable link id": (2, {"links": {**obj["links"], "0:1": [["p0"]]}}),
         "link not a list": (2, {"links": {**obj["links"], "0:1": "p0"}}),
         "unknown link id": (2, {"links": {**obj["links"], "0:1": ["zz"]}}),
@@ -266,3 +271,20 @@ def test_five_cover_non_numeric_radius_exits_2(tmp_path, capsys, radius):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "radius must be a real number" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("balls", [
+    {"center": "p0", "radius": 0.5},
+    [0.5, 1.0],
+    ["p0", "p9"],
+    [{"center": ["p0"], "radius": 0.5}],
+])
+def test_five_cover_malformed_balls_exit_2(tmp_path, capsys, balls):
+    g = mj.grid_space(1, 32, spacing=1 / 32)
+    space_path = tmp_path / "line32.json"
+    space_path.write_text(json.dumps(mj.space_to_json(g)))
+    balls_path = tmp_path / "balls.json"
+    balls_path.write_text(json.dumps(balls))
+    assert main(["five-cover", "--space", str(space_path), "--balls", str(balls_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out

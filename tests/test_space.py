@@ -73,6 +73,10 @@ def test_ball_errors():
         mj.ball_at(g, "p2", 0.0)
     with pytest.raises(UnknownCenter):
         mj.ball_at(g, "nope", 1.0)
+    # A JSON center that is not a string: a list is not even hashable.
+    for center in (["p2"], 2, None, {"id": "p2"}):
+        with pytest.raises(UnknownCenter):
+            mj.ball_at(g, center, 1.0)
 
 
 @pytest.mark.parametrize("radius", ["0.5", None, [1.0], True, False, np.True_])
