@@ -30,7 +30,6 @@ from .czd import (
 )
 from .generators import canonical_function, cluster_space, grid_space
 from .median import (
-    MedianQuery,
     SampleFunction,
     is_s_median,
     maximal_median,

@@ -415,7 +415,9 @@ def _grid_layout(space: Space):
     dims = space.coords.shape[1]
     if dims not in (1, 2):
         raise InvalidParameter("grid decomposition supports 1-D and 2-D only")
-    diffs = np.diff(np.unique(space.coords[:, 0]))
+    # Gaps between the distinct first coordinates: sort, diff, drop zeros.
+    diffs = np.diff(np.sort(space.coords[:, 0]))
+    diffs = diffs[diffs > 0.0]
     spacing = float(diffs.min()) if len(diffs) else 1.0
     return dims, spacing
 

@@ -12,8 +12,9 @@ the set of all real radii does, which in turn makes the stopping-time
 certificates provable rather than merely plausible.
 
 The family is held as arrays (``space._BallFamily``), cached with the
-space per (B0 members, budget); a SampleFunction keeps its t-medians per
-(family, t), computed a row at a time.
+space per (B0 members, budget) together with an index from member set to
+row; the space keeps each SampleFunction's t-medians per (family, t),
+computed one block of rows of one size at a time.
 
 The decomposition at level lambda selects, for every point of the level
 set E_lambda = {x in hat-B0 : M f(x) > lambda} of the median maximal
@@ -29,6 +30,14 @@ are recorded and verified on every run:
   (iii) the t-median of f on each B_i exceeds lambda,
   (iv)  the t-median on every admissible dilate class sigma B_i
         (sigma >= 2, sigma r_Bi <= eta r_B0) is at most lambda.
+
+(iii) recomputes each selected ball's median from the function values,
+as a check independent of the cached medians that chose it.  (iv) reads
+each dilate class's median from the family's: a class within the budget
+is a prefix ball of a center in B0, so some family row has its member
+set, and the cached median is that of the same set in the same order by
+the same kernel.  Only a class admitted by the ``_REL_EPS`` slack beyond
+the budget can miss the family, and its median is computed directly.
 """
 
 from __future__ import annotations
@@ -50,7 +59,14 @@ from .errors import (
     PreconditionViolated,
     ThresholdViolated,
 )
-from .median import _as_values, _memo, maximal_median, weighted_maximal_median
+from .median import (
+    _BLOCK_ELEMS,
+    _as_values,
+    _maximal_median_rows,
+    _memo,
+    maximal_median,
+    weighted_maximal_median,
+)
 from .norms import jn_median_norm
 from .space import (
     Ball,
@@ -59,8 +75,10 @@ from .space import (
     _BallFamily,
     _canonical_family,
     _family_balls,
+    _member_indices,
     _member_matrix,
-    _member_rows,
+    _pack_rows,
+    _size_blocks,
     dilate,
     doubling_profile,
 )
@@ -174,15 +192,23 @@ def cz_params(
 
 
 def _family_medians(f, params: CZParams, family: _BallFamily) -> np.ndarray:
-    """The t-median of |f| on every CZ family row; a SampleFunction keeps them."""
+    """The t-median of |f| on every CZ family row; the space keeps them per SampleFunction.
+
+    Rows of one size go through ``_maximal_median_rows`` in the blocks of
+    ``_size_blocks``, each row with the bits of the one-set
+    ``weighted_maximal_median`` on its members in index order.
+    """
     space = params.space
 
     def compute():
         g, w = np.abs(_as_values(space, f)), space.weights
-        rows = _member_rows(family.words, family.sizes, space.n)
-        return np.array([weighted_maximal_median(g[row], w[row], params.t) for row in rows])
+        med = np.empty(len(family))
+        for sel, cols in _size_blocks(family.sizes, lambda k: _BLOCK_ELEMS // k):
+            pts = _member_indices(family.words[sel], space.n).reshape(cols.shape)
+            med[sel] = _maximal_median_rows(g[pts], w[pts], params.t)
+        return med
 
-    return _memo(f, ("cz_medians", params.b0.idx, params.budget, params.t), compute)
+    return _memo(space, f, ("cz_medians", params.b0.idx, params.budget, params.t), compute)
 
 
 def _threshold(params: CZParams, g: np.ndarray) -> float:
@@ -266,22 +292,42 @@ class CZDecomposition:
     lambda0: float | None = None
 
 
-def _dilate_class_sets(space: Space, ball: Ball, budget: float):
-    """Member sets of sigma * ball for sigma >= 2 with sigma r <= budget."""
+def _dilate_class_sets(space: Space, ball: Ball, budget: float) -> np.ndarray:
+    """Member sets of sigma * ball for sigma >= 2 with sigma r <= budget.
+
+    A boolean (classes, n) matrix with one row per class {d < d_(k+1)} of
+    the center's distance row, by increasing radius; the distinct
+    distances come from one sort.
+    """
     lo = 2.0 * ball.radius
     cap = budget * (1.0 + _REL_EPS)
     if lo > cap:
-        return []
-    ci = space.index(ball.center)
-    row = space.dist[ci]
-    ds = np.unique(row)
-    sets = []
-    for k in range(len(ds) - 1):
-        if ds[k + 1] >= lo and ds[k] < cap:
-            sets.append(np.nonzero(row < ds[k + 1])[0])
+        return np.zeros((0, space.n), dtype=bool)
+    row = space.dist[space.index(ball.center)]
+    ds = np.sort(row)
+    distinct = np.ones(len(ds), dtype=bool)
+    distinct[1:] = ds[1:] != ds[:-1]
+    ds = ds[distinct]
+    ends = ds[1:][(ds[1:] >= lo) & (ds[:-1] < cap)]
     if cap > ds[-1]:
-        sets.append(np.arange(space.n))
-    return sets
+        ends = np.append(ends, np.inf)  # the whole space
+    return row < ends[:, None]
+
+
+def _word_keys(words: np.ndarray) -> list:
+    """Each packed member row as one ``bytes`` key."""
+    words = np.ascontiguousarray(words)
+    return words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel().tolist()
+
+
+def _family_rows(params: CZParams, family: _BallFamily) -> dict:
+    """Member set (as ``_word_keys``) -> row of the CZ family, cached with the family."""
+    key = ("cz_rows", params.b0.idx, params.budget)
+    cache = params.space._cache()
+    rows = cache.get(key)
+    if rows is None:
+        rows = cache[key] = {k: i for i, k in enumerate(_word_keys(family.words))}
+    return rows
 
 
 def cz_decompose(f, params: CZParams, lam: float) -> CZDecomposition:
@@ -359,11 +405,20 @@ def _decompose(f, params: CZParams, lam: float, required: dict):
         for b in cover.selected
     )
 
+    # A class found among the family's rows has its median in ``med`` (see
+    # the module docstring); the others are computed from the values.
     lam_cap = lam + _REL_EPS * max(1.0, abs(lam))
+    family_rows = _family_rows(params, family)
     dilate_ok = True
     for ball in cover.selected:
-        for members in _dilate_class_sets(space, ball, params.budget):
-            m = weighted_maximal_median(g[members], w_all[members], params.t)
+        members = _dilate_class_sets(space, ball, params.budget)
+        for inside, key in zip(members, _word_keys(_pack_rows(members))):
+            row = family_rows.get(key)
+            if row is not None:
+                m = med[row]
+            else:
+                idx = np.flatnonzero(inside)
+                m = weighted_maximal_median(g[idx], w_all[idx], params.t)
             if m > lam_cap:
                 dilate_ok = False
                 break

@@ -42,7 +42,8 @@ bounded padded size.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +61,6 @@ class SampleFunction:
     """A finite real value per point of a Space, aligned with point order."""
 
     values: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @staticmethod
     def from_mapping(space: Space, mapping) -> "SampleFunction":
@@ -93,13 +93,26 @@ class SampleFunction:
         return SampleFunction.from_mapping(space, obj["values"])
 
 
-def _memo(f, key, compute):
-    """``compute()``, kept on ``f`` under ``key`` when f is a SampleFunction."""
+def _memo(space: Space, f, key, compute):
+    """``compute()``, kept with ``space`` under (f, key) when f is a SampleFunction.
+
+    The results live in the space's cache, in a ``WeakKeyDictionary`` keyed
+    by the function object (``SampleFunction`` hashes by identity), so a
+    function used on two spaces keeps one set of results per space, and
+    they are freed with the function.
+    """
     if not isinstance(f, SampleFunction):
         return compute()
-    hit = f._cache.get(key)
+    cache = space._cache()
+    per_function = cache.get("functions")
+    if per_function is None:
+        per_function = cache["functions"] = weakref.WeakKeyDictionary()
+    results = per_function.get(f)
+    if results is None:
+        results = per_function[f] = {}
+    hit = results.get(key)
     if hit is None:
-        hit = f._cache[key] = compute()
+        hit = results[key] = compute()
     return hit
 
 
@@ -109,19 +122,19 @@ def _check_s(s: float) -> None:
 
 
 @dataclass(frozen=True)
-class MedianQuery:
+class _MedianQuery:
     """Validated (s, subset) pair for median operations."""
 
     s: float
     idx: tuple[int, ...]
 
     @staticmethod
-    def of(space: Space, subset, s: float) -> "MedianQuery":
+    def of(space: Space, subset, s: float) -> "_MedianQuery":
         _check_s(s)
         idx = _resolve_region(space, subset)
         if len(idx) == 0:
             raise EmptySet("median over an empty set")
-        return MedianQuery(s=float(s), idx=idx)
+        return _MedianQuery(s=float(s), idx=idx)
 
 
 def _as_values(space: Space, f) -> np.ndarray:
@@ -169,14 +182,14 @@ def maximal_median(space: Space, f, subset, s: float) -> float:
 
     Raises EmptySet and InvalidS.
     """
-    q = MedianQuery.of(space, subset, s)
+    q = _MedianQuery.of(space, subset, s)
     vals = _as_values(space, f)[list(q.idx)]
     return weighted_maximal_median(vals, space.weights[list(q.idx)], q.s)
 
 
 def is_s_median(space: Space, value: float, f, subset, s: float) -> bool:
     """True iff mu{f > value} <= s mu(A) and mu{f < value} <= (1-s) mu(A)."""
-    q = MedianQuery.of(space, subset, s)
+    q = _MedianQuery.of(space, subset, s)
     vals = _as_values(space, f)[list(q.idx)]
     w = space.weights[list(q.idx)]
     total = w.sum()
@@ -187,14 +200,14 @@ def is_s_median(space: Space, value: float, f, subset, s: float) -> bool:
 
 def median_oscillation(space: Space, f, subset, s: float) -> tuple[float, float]:
     """Exact inf over c of m_{|f - c|}^s(B) and the smallest minimizing c."""
-    q = MedianQuery.of(space, subset, s)
+    q = _MedianQuery.of(space, subset, s)
 
     def compute():
         members, sizes = np.array(q.idx, dtype=np.intp), np.array([len(q.idx)])
         osc, c, _ = _shorth_block(_as_values(space, f), space.weights, members, sizes, q.s)
         return (float(osc[0]), float(c[0]))
 
-    return _memo(f, ("osc", q.idx, q.s), compute)
+    return _memo(space, f, ("osc", q.idx, q.s), compute)
 
 
 def _shorth_rows(values: np.ndarray, weights: np.ndarray, words, sizes, s: float):

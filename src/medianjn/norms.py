@@ -15,7 +15,11 @@ Admissible upper bounds prune the search:
 * on interval instances, the weighted-interval-scheduling optimum of the
   remaining candidates;
 * on all other instances, per remaining point its weight times the best
-  term-per-measure density of any remaining ball containing it.
+  term-per-measure density of any remaining ball containing it.  The
+  search prices its member matrix once, priced[b, x] = w(x) density(b)
+  for x in b and 0 elsewhere; rounding is monotone, so a column maximum
+  over the remaining rows is w(x) times the best density, bit for bit,
+  and the bound is one row gather, one column maximum and one sum.
 
 An interval instance is one where every candidate is a run of consecutive
 points in one point order, the stable distance order from a point farthest
@@ -54,9 +58,10 @@ Member rows are compared as packed words, in tiles of at most half
 
 Every remaining ball is disjoint from every chosen one: including a ball
 keeps only the later candidates that share no point with it.  The
-candidates' member words are the family's rows reordered by term, so that
-conflict test is one AND over the remaining rows per search node; the
-member matrix of the bounds is the same rows unpacked.
+candidates' member words are the family's rows reordered by term, kept
+as one contiguous column per 64-point word, so that conflict test ANDs
+the remaining entries of each column the ball touches with its word;
+the member matrix of the bounds is the same rows unpacked.
 
 Greedy mode repeatedly takes the heaviest remaining ball and drops the
 candidates it meets, by the same AND.  It is a lower bound, flagged as
@@ -73,7 +78,7 @@ the lowest-index member holding it.
 Every objective, measure and total is a row sum over a C-contiguous last
 axis, the same pairwise sum as the one-ball ``.sum()``, so the values
 keep their bits.  ``jn_integral_norm`` makes one such call per
-(region, q) and a SampleFunction keeps the result; norm terms
+(region, q) and the space keeps the result per SampleFunction; norm terms
 mu * osc**(p/q) are formed from Python floats.  ``jn_centered_sup`` keeps
 its two maximal medians per member row the same way, per (region, s, t).
 """
@@ -313,10 +318,10 @@ def _integral_block(values: np.ndarray, weights: np.ndarray, pts: np.ndarray, q:
 def _cached_family(space: Space, f, idx: tuple[int, ...], key: tuple, compute):
     """The canonical family inside a region and ``compute(family)``.
 
-    One call per (region, key); a SampleFunction keeps the result.
+    One call per (region, key); the space keeps the result for a SampleFunction.
     """
     family = _canonical_family(space, idx)
-    return family, _memo(f, (*key, idx), lambda: compute(family))
+    return family, _memo(space, f, (*key, idx), lambda: compute(family))
 
 
 def _family_oscillations(space: Space, f, idx: tuple[int, ...], s: float):
@@ -438,13 +443,27 @@ def _packed_sup(space: Space, family: _BallFamily, terms, mode: str, force: bool
     term_arr = all_terms[order]
     words = family.words[order]
     order = order.tolist()
+    # One contiguous column per 64-point word: a conflict test ANDs 1-D
+    # gathers of those instead of reducing a gathered (rows x words) block.
+    columns = [np.ascontiguousarray(col) for col in words.T]
+    row_words = words.tolist()
+
+    def clear_of(j, rows):
+        """The ``rows`` that share no point with row j."""
+        pairs = zip(columns, row_words[j])
+        col, bits = next(pairs)
+        hit = col[rows] & bits
+        for col, bits in pairs:
+            if bits:
+                hit |= col[rows] & bits
+        return rows[hit == 0]
+
     # Greedy: take the first remaining candidate, drop those it meets.
     greedy, rem = [], np.arange(len(order))
     while len(rem):
         j = int(rem[0])
         greedy.append(j)
-        tail = rem[1:]
-        rem = tail[~(words[tail] & words[j]).any(axis=1)]
+        rem = clear_of(j, rem[1:])
     greedy_total = float(term_arr[greedy].sum())
     if mode == "greedy":
         return greedy_total, [order[j] for j in greedy]
@@ -460,13 +479,13 @@ def _packed_sup(space: Space, family: _BallFamily, terms, mode: str, force: bool
     member_matrix = _member_matrix(words, n)
     density = term_arr / member_matrix.dot(space.weights)
 
-    weights = space.weights
     best_total = greedy_total
     best_choice = list(greedy)
     margin = 4 * n * 2.0**-52
-    # Interval data and dominance only when the root survives the sum bound;
-    # interval instances prune by the interval bound alone.
-    intervals = None
+    # Interval data, dominance and the priced rows only when the root
+    # survives the sum bound; interval instances prune by the interval
+    # bound alone.
+    intervals = priced = None
     start = np.arange(m)
     term_sum = float(term_arr.sum())
     if term_sum > best_total:
@@ -474,7 +493,14 @@ def _packed_sup(space: Space, family: _BallFamily, terms, mode: str, force: bool
         if intervals is None:
             sizes = family.sizes[order]
             start = np.flatnonzero(~_dominated_rows(words, sizes, term_arr, margin * term_sum))
+            # priced[b, x] = w(x) density(b) for x in b, else 0.  Rounding is
+            # monotone and weights are positive, so a column maximum is the
+            # largest density through x times w(x), bit for bit.
+            priced = np.multiply(member_matrix, density[:, None])
+            priced *= space.weights
+    del member_matrix  # the search reads ``priced`` and ``words`` only
     floor = None
+    step = max(1, _BLOCK_ELEMS // n)
 
     def interval_pruned(rem, current):
         nonlocal floor
@@ -489,8 +515,12 @@ def _packed_sup(space: Space, family: _BallFamily, terms, mode: str, force: bool
 
     def density_bound(rem):
         # Remaining rows miss every chosen point, so no free-point mask.
-        per_point = (member_matrix[rem] * density[rem, None]).max(axis=0)
-        return float((per_point * weights).sum())
+        # Rows are gathered in blocks of at most _BLOCK_ELEMS elements; the
+        # ufuncs' own reduce is the array method without its wrapper.
+        per_point = np.maximum.reduce(priced[rem[:step]])
+        for a in range(step, len(rem), step):
+            np.maximum(per_point, np.maximum.reduce(priced[rem[a : a + step]]), out=per_point)
+        return float(np.add.reduce(per_point))
 
     def dfs(rem, current, chosen):
         # Only the include branch recurses, so the depth is bounded by the
@@ -501,7 +531,7 @@ def _packed_sup(space: Space, family: _BallFamily, terms, mode: str, force: bool
             best_choice = list(chosen)
         while len(rem):
             slack = best_total - current
-            if float(term_arr[rem].sum()) <= slack:
+            if float(np.add.reduce(term_arr[rem])) <= slack:
                 return
             if intervals is not None:
                 if interval_pruned(rem, current):
@@ -511,8 +541,7 @@ def _packed_sup(space: Space, family: _BallFamily, terms, mode: str, force: bool
             j = rem[0]
             tail = rem[1:]
             chosen.append(j)
-            disjoint = ~(words[tail] & words[j]).any(axis=1)
-            dfs(tail[disjoint], current + float(term_arr[j]), chosen)
+            dfs(clear_of(j, tail), current + float(term_arr[j]), chosen)
             chosen.pop()
             rem = tail
 

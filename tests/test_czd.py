@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -197,3 +202,31 @@ def test_local_verify_report_json():
     for key in ("lambda0", "entries", "constant_c", "s0", "alpha"):
         assert key in payload
     assert {"lambda", "lhs", "rhs", "pass"} <= set(payload["entries"][0])
+
+
+_NO_MA_SCRIPT = """
+import sys
+import numpy as np
+import medianjn as mj
+from medianjn.acceptance import spike_cluster_config
+
+grid = mj.grid_space(2, 8)
+mj.grid_boman_decomposition(grid, mj.ball_at(grid, "p0", 1000.0))
+params, f, thr, height = spike_cluster_config(np.random.default_rng(31))
+mj.cz_nested(f, params, thr + 0.25 * (height - thr), 0.5 * (thr + height))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_decompositions_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call, about 10 ms inside the
+    # first timed operation; grid Boman and CZ decompositions do without it.
+    def run(code):
+        env = dict(os.environ, PYTHONPATH=str(Path(mj.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        return out.stdout.split()[-1]
+
+    if run("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+        pytest.skip("this numpy loads numpy.ma on import")
+    assert run(_NO_MA_SCRIPT) == "False"

@@ -15,11 +15,11 @@ import pytest
 import medianjn as mj
 from medianjn import acceptance
 from medianjn.covering import five_cover
+from medianjn import czd
 from medianjn.czd import (
     _REL_EPS,
     CZCertificates,
     CZDecomposition,
-    _dilate_class_sets,
     _sum_in_order,
 )
 from medianjn.errors import (
@@ -49,6 +49,23 @@ def reference_point_balls(params):
                 point_balls[x].append(bi)
         _POINT_BALLS[key] = params.family, point_balls  # the family keeps its id
     return _POINT_BALLS[key][1]
+
+
+def reference_dilate_class_sets(space, ball, budget):
+    """Member index arrays of sigma * ball for sigma >= 2 with sigma r <= budget."""
+    lo = 2.0 * ball.radius
+    cap = budget * (1.0 + _REL_EPS)
+    if lo > cap:
+        return []
+    row = space.dist[space.index(ball.center)]
+    ds = np.unique(row)
+    sets = []
+    for k in range(len(ds) - 1):
+        if ds[k + 1] >= lo and ds[k] < cap:
+            sets.append(np.nonzero(row < ds[k + 1])[0])
+    if cap > ds[-1]:
+        sets.append(np.arange(space.n))
+    return sets
 
 
 def reference_family_medians(params, g, level):
@@ -126,7 +143,7 @@ def reference_decompose(f, params, lam, medians=None, containment=None):
         dilates_at_most_level=all(
             mj.weighted_maximal_median(g[members], w_all[members], params.t) <= lam_cap
             for ball in cover.selected
-            for members in _dilate_class_sets(space, ball, params.budget)
+            for members in reference_dilate_class_sets(space, ball, params.budget)
         ),
     )
     if not certificates.ok:
@@ -382,6 +399,37 @@ def test_nested_containment_moves_a_witness():
         decomposition_fields(ref[0]),
         decomposition_fields(ref[1]),
         ref[2],
+    )
+
+
+def test_dilate_class_beyond_the_budget_is_computed_directly():
+    # Budget 400 * 0.5 = 200, a lattice distance: around the selected
+    # singleton, the class {d <= 200} is admitted by the _REL_EPS slack
+    # alone, and no family row (all have d < 200) holds that set.  Its
+    # median is the one computed from the values; the others are read
+    # from the family's medians.
+    rng = np.random.default_rng(1505)
+    g, f, mid = spike_line(700, [4.0, 3.5, 3.0], rng)
+    params = mj.cz_params(g, mj.ball_at(g, g.point_ids[mid], 0.5), eta=400.0, t=1.0)
+    assert params.budget == 200.0
+    calls = []
+
+    def counted(values, weights, s):
+        calls.append(len(values))
+        return mj.weighted_maximal_median(values, weights, s)
+
+    lam = 2.0
+    mj.cz_decompose(f, params, lam)  # the family's medians, cached
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(czd, "weighted_maximal_median", counted)
+        dec = mj.cz_decompose(f, params, lam)
+    # One call for the threshold, one per selected ball for (iii), and one
+    # for the class {d <= 200}: 401 points around the singleton.
+    assert [b.idx for b in dec.balls] == [(mid,)]
+    assert len(calls) == 1 + len(dec.balls) + 1 and calls[-1] == 401
+    assert decomposition_fields(dec) == decomposition_fields(reference_decompose(f, params, lam))
+    assert outcome(mj.cz_nested, f, params, lam, 3.2) == outcome(
+        reference_nested, f, params, lam, 3.2
     )
 
 

@@ -1,7 +1,9 @@
 import bisect
+import gc
 import inspect
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from medianjn import acceptance, norms
 from medianjn import space as space_module
 from medianjn.errors import EmptyRegion, ExactModeTooLarge, InvalidS, NonPositiveQ
 
-from util import family_of, fn, packed, random_space, two_point_space
+from util import family_of, fn, line_space, packed, random_space, two_point_space
 
 
 def test_lp_norm_examples():
@@ -442,6 +444,23 @@ def test_exact_search_matches_list_and_dict_search():
     assert searched >= 40
 
 
+def test_exact_search_on_the_8x8_grid():
+    # 1197 live candidates, above the cut of the test before: the priced
+    # rows are gathered in five blocks.  Seed 1 is checked against the
+    # former search (seed 0 takes it several seconds); both totals are pinned.
+    g = mj.grid_space(2, 8)
+    totals = []
+    for seed in (0, 1):
+        f = fn(g, np.random.default_rng(seed).normal(size=64))
+        balls, terms = _median_terms(g, f, 0.25, 2.0)
+        assert sum(t > 0.0 for t in terms) == 1197
+        got = norms._packed_sup(g, family_of(g), terms, "exact", True)
+        if seed == 1:
+            assert got == _list_and_dict_packed_sup(g, balls, terms)
+        totals.append(got[0].hex())
+    assert totals == ["0x1.36a34cc078b74p+6", "0x1.056f40d4dbb9cp+6"]
+
+
 def test_exact_packing_matches_milp_optimum():
     # Mid-size cross-check: the weighted set-packing integer program, one
     # row per point (at most one chosen ball covers it), solved by HiGHS.
@@ -646,3 +665,23 @@ def test_dominated_rows_match_brute_force(monkeypatch):
         ]
         assert dominated.tolist() == expected
         assert any(expected) and not all(expected)
+
+
+def test_function_results_are_kept_per_space():
+    # One function object on two 8-point spaces: the second space must not
+    # read the first one's oscillations.
+    a = mj.grid_space(1, 8)
+    b = line_space([0, 1, 2, 3, 10, 11, 12, 30])
+    values = np.random.default_rng(0).normal(size=8)
+    fresh = mj.jn_median_norm(b, fn(b, values), None, 2.0, 0.25)
+    assert round(fresh.value, 4) == 2.0310
+    f = fn(a, values)
+    mj.bmo_median_norm(a, f, None, 0.25)
+    got = mj.jn_median_norm(b, f, None, 2.0, 0.25)
+    assert (got.value.hex(), got.packing) == (fresh.value.hex(), fresh.packing)
+    # The results go with the function.
+    kept = weakref.ref(f)
+    del f
+    gc.collect()
+    assert kept() is None
+    assert len(a._cache()["functions"]) == 0 and len(b._cache()["functions"]) == 0
