@@ -48,17 +48,18 @@ from .errors import (
     UnknownBall,
     UnverifiedDecomposition,
 )
-from .median import _BLOCK_ELEMS, _as_values, _check_s, _maximal_median_rows, maximal_median
+from .median import _as_values, _check_s, _maximal_median_rows, maximal_median
 from .norms import _check_p, _weak_lp_rows, jn_integral_norm, jn_median_norm
 from .space import (
+    _BLOCK_ELEMS,
     Ball,
     Space,
     _ball_rows,
     _balls_at,
     _balls_from_json,
     _pack_rows,
+    _point_blocks,
     _point_ids,
-    _size_blocks,
     dilate,
     doubling_profile,
 )
@@ -391,11 +392,6 @@ def _escapes(words, rows, cover, cover_rows) -> np.ndarray:
         part = words[rows[a : a + step]]
         out[a : a + step] = ((part & cover[cover_rows[a : a + step]]) != part).any(axis=1)
     return out
-
-
-def _point_blocks(sizes):
-    """``_size_blocks`` of at most ``_BLOCK_ELEMS`` points, or one row."""
-    return _size_blocks(sizes, lambda k: _BLOCK_ELEMS // k)
 
 
 def _measures(weights: np.ndarray, flat: np.ndarray, sizes) -> np.ndarray:

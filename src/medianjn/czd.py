@@ -60,14 +60,13 @@ from .errors import (
     ThresholdViolated,
 )
 from .median import (
-    _BLOCK_ELEMS,
     _as_values,
     _maximal_median_rows,
     _memo,
     maximal_median,
     weighted_maximal_median,
 )
-from .norms import jn_median_norm
+from .norms import _check_p_exceeds_1, jn_median_norm
 from .space import (
     Ball,
     DoublingProfile,
@@ -75,10 +74,10 @@ from .space import (
     _BallFamily,
     _canonical_family,
     _family_balls,
-    _member_indices,
+    _member_blocks,
     _member_matrix,
     _pack_rows,
-    _size_blocks,
+    _point_blocks,
     dilate,
     doubling_profile,
 )
@@ -86,10 +85,19 @@ from .space import (
 _REL_EPS = 1e-12
 
 
-def alpha_of(profile: DoublingProfile, eta: float) -> float:
-    """5^D c_mu^2 (1 + 1/eta)^D with D the doubling dimension."""
+def _check_eta(eta: float) -> None:
     if not eta > 0.0:
         raise InvalidParameter(f"eta must be positive, got {eta}")
+
+
+def _check_t(t: float) -> None:
+    if not (0.0 < t <= 1.0):
+        raise InvalidParameter(f"t must lie in (0, 1], got {t}")
+
+
+def alpha_of(profile: DoublingProfile, eta: float) -> float:
+    """5^D c_mu^2 (1 + 1/eta)^D with D the doubling dimension."""
+    _check_eta(eta)
     c, d = profile.c_mu, profile.dimension
     return float(5.0**d * c * c * (1.0 + 1.0 / eta) ** d)
 
@@ -103,8 +111,7 @@ def cz_family(space: Space, b0: Ball, eta: float) -> tuple[Ball, ...]:
     space keeps the latest family's tuple, so repeated calls with the same
     B0 members and budget share it.  Raises EmptyBase.
     """
-    if not eta > 0.0:
-        raise InvalidParameter(f"eta must be positive, got {eta}")
+    _check_eta(eta)
     if b0.size == 0:
         raise EmptyBase("cz_family needs a nonempty base ball")
     key = (b0.idx, eta * b0.radius)
@@ -159,10 +166,8 @@ def cz_params(
     K: float | None = None,
     profile: DoublingProfile | None = None,
 ) -> CZParams:
-    if not (0.0 < t <= 1.0):
-        raise InvalidParameter(f"t must lie in (0, 1], got {t}")
-    if not p > 1.0:
-        raise InvalidParameter(f"p must exceed 1, got {p}")
+    _check_t(t)
+    _check_p_exceeds_1(p)
     if profile is None:
         profile = doubling_profile(space)
     if K is None:
@@ -195,7 +200,7 @@ def _family_medians(f, params: CZParams, family: _BallFamily) -> np.ndarray:
     """The t-median of |f| on every CZ family row; the space keeps them per SampleFunction.
 
     Rows of one size go through ``_maximal_median_rows`` in the blocks of
-    ``_size_blocks``, each row with the bits of the one-set
+    ``space._member_blocks``, each row with the bits of the one-set
     ``weighted_maximal_median`` on its members in index order.
     """
     space = params.space
@@ -203,8 +208,7 @@ def _family_medians(f, params: CZParams, family: _BallFamily) -> np.ndarray:
     def compute():
         g, w = np.abs(_as_values(space, f)), space.weights
         med = np.empty(len(family))
-        for sel, cols in _size_blocks(family.sizes, lambda k: _BLOCK_ELEMS // k):
-            pts = _member_indices(family.words[sel], space.n).reshape(cols.shape)
+        for sel, pts in _member_blocks(family.words, family.sizes, space.n):
             med[sel] = _maximal_median_rows(g[pts], w[pts], params.t)
         return med
 
@@ -217,40 +221,43 @@ def _threshold(params: CZParams, g: np.ndarray) -> float:
     return weighted_maximal_median(g[hat], params.space.weights[hat], params.t / params.alpha)
 
 
-def median_maximal(space: Space, f, x: str, family, t: float) -> float:
-    """sup over family balls through x of the maximal t-median of |f|.
-
-    Returns 0.0 when no family ball contains x.
-    """
-    if not (0.0 < t <= 1.0):
-        raise InvalidParameter(f"t must lie in (0, 1], got {t}")
-    g = np.abs(_as_values(space, f))
+def _blocks_through(space: Space, x: str, family) -> list:
+    """(rows, k) member index blocks of the family balls through x, each in the ball's order."""
     xi = space.index(x)
+    rows = [ball.idx for ball in family if xi in ball.idx]
+    flat = np.array([i for idx in rows for i in idx], dtype=np.intp)
+    return [flat[cols] for _, cols in _point_blocks([len(idx) for idx in rows])]
+
+
+def median_maximal(space: Space, f, x: str, family, t: float) -> float:
+    """sup over family balls through x of the maximal t-median of |f|; 0.0 if none.
+
+    Per size block of those balls, one ``_maximal_median_rows`` call.
+    """
+    _check_t(t)
+    g, w = np.abs(_as_values(space, f)), space.weights
     best = 0.0
-    for ball in family:
-        if xi in ball.idx:
-            idx = list(ball.idx)
-            best = max(best, weighted_maximal_median(g[idx], space.weights[idx], t))
-    return best
+    for pts in _blocks_through(space, x, family):
+        best = max(best, _maximal_median_rows(g[pts], w[pts], t).max())
+    return float(best)
 
 
 def sharp_maximal(space: Space, f, x: str, family, t: float, beta: float) -> float:
-    """sup over family balls through x of m^{t/beta}_{|f - m_f^t(B)|}(B)."""
+    """sup over family balls through x of m^{t/beta}_{|f - m_f^t(B)|}(B); 0.0 if none.
+
+    Per size block, ``_maximal_median_rows`` gives the centers, then the deviation medians.
+    """
+    _check_t(t)
     level = t / beta
     if not (0.0 < level <= 1.0):
         raise InvalidLevel(f"t/beta must lie in (0, 1], got {level}")
-    vals = _as_values(space, f)
-    xi = space.index(x)
+    vals, w = _as_values(space, f), space.weights
     best = 0.0
-    for ball in family:
-        if xi in ball.idx:
-            idx = list(ball.idx)
-            w = space.weights[idx]
-            center = weighted_maximal_median(vals[idx], w, t)
-            best = max(
-                best, weighted_maximal_median(np.abs(vals[idx] - center), w, level)
-            )
-    return best
+    for pts in _blocks_through(space, x, family):
+        center = _maximal_median_rows(vals[pts], w[pts], t)[:, None]
+        dev = _maximal_median_rows(np.abs(vals[pts] - center), w[pts], level)
+        best = max(best, dev.max())
+    return float(best)
 
 
 # ---------------------------------------------------------------- decomposition

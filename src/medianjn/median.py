@@ -48,12 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySet, InvalidParameter, InvalidS
-from .space import Space, _member_indices, _resolve_region
-
-# Elements per block of the row kernels in median, norms and boman, which
-# keep each block's temporaries under it; pairwise packed-word tiles take
-# half.
-_BLOCK_ELEMS = 1 << 14
+from .space import _BLOCK_ELEMS, Space, _member_indices, _resolve_region
 
 
 @dataclass(frozen=True, eq=False)

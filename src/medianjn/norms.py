@@ -68,19 +68,15 @@ candidates it meets, by the same AND.  It is a lower bound, flagged as
 such in results; exact mode starts from its total.  ``Ball`` objects are
 built only for the returned packing.
 
-Oscillations of a whole family come from one kernel call, whose member
-rows are unpacked from the family's words in index order, block by block.
-For q <= 1 the integral oscillation uses ``_integral_rows``.  A sample
-value minimizes the objective, so each ball scores every one of its
-values, stably sorted, in one array operation, and the first minimum
-wins: the smallest minimizing c, whose sign, when it is zero, is that of
-the lowest-index member holding it.
-Every objective, measure and total is a row sum over a C-contiguous last
-axis, the same pairwise sum as the one-ball ``.sum()``, so the values
-keep their bits.  ``jn_integral_norm`` makes one such call per
-(region, q) and the space keeps the result per SampleFunction; norm terms
-mu * osc**(p/q) are formed from Python floats.  ``jn_centered_sup`` keeps
-its two maximal medians per member row the same way, per (region, s, t).
+Oscillations of a whole family come from one kernel call on member rows
+unpacked block by block (``space._member_blocks``).  For every q, the
+integral oscillation scores each ball's values as centers c, with the
+weighted mean and a golden-section minimum for q > 1, where the
+objective is convex; the stably sorted first minimum wins, so a zero c
+takes the sign of the lowest-index member holding it.  Every objective
+and measure is a row sum with the bits of the one-ball computation (see
+``space._size_blocks``).  The space keeps each family's values per
+SampleFunction; norm terms mu * osc**(p/q) are formed from Python floats.
 """
 
 from __future__ import annotations
@@ -98,25 +94,19 @@ from .errors import (
     InvalidS,
     NonPositiveQ,
 )
-from .median import (
-    _BLOCK_ELEMS,
-    _as_values,
-    _memo,
-    _shorth_rows,
-    weighted_maximal_median,
-)
+from .median import _as_values, _maximal_median_rows, _memo, _shorth_rows
 from .space import (
+    _BLOCK_ELEMS,
     Ball,
     Space,
     _BallFamily,
     _canonical_family,
     _distance_order,
     _family_balls,
-    _member_indices,
+    _member_blocks,
     _member_matrix,
-    _member_rows,
+    _pack_rows,
     _resolve_region,
-    _size_blocks,
 )
 
 EXACT_MODE_LIMIT = 32
@@ -172,6 +162,21 @@ def _check_p(p: float) -> None:
         raise InvalidParameter(f"p must be positive, got {p}")
 
 
+def _check_p_exceeds_1(p: float) -> None:
+    if not p > 1.0:
+        raise InvalidParameter(f"p must exceed 1, got {p}")
+
+
+def _check_s_up_to_half(s: float) -> None:
+    if not (0.0 < s <= 0.5):
+        raise InvalidS(f"s must lie in (0, 1/2], got {s}")
+
+
+def _check_q(q: float) -> None:
+    if not q > 0.0:
+        raise NonPositiveQ(f"q must be positive, got {q}")
+
+
 def lp_norm(space: Space, f, region, p: float) -> float:
     """(sum of w(x) |f(x)|^p over the region)^(1/p)."""
     _check_p(p)
@@ -217,102 +222,116 @@ def _weak_lp_rows(values: np.ndarray, weights: np.ndarray, p: float) -> list[flo
     return [best ** (1.0 / p) for best in terms.max(axis=1, initial=0.0).tolist()]
 
 
-def _golden_min(fn, lo: float, hi: float, rel_tol: float = 1e-10) -> float:
-    """Golden-section minimizer for a convex function on [lo, hi]."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    span = max(hi - lo, 1e-300)
-    while (b - a) > rel_tol * span:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
 def integral_oscillation(space: Space, f, subset, q: float) -> tuple[float, float]:
     """inf over c of the weighted mean of |f - c|^q on the subset.
 
-    For q <= 1 the objective is concave (q < 1) or linear (q = 1) between
-    consecutive sample values, so a sample value attains the infimum: this
-    is a one-set block of the family kernel ``_integral_rows``, and c is the
-    smallest minimizing sample value, a zero c taking the sign of the
-    lowest-index member that holds it.  For q > 1 the objective is convex:
-    a golden-section search bracketed by [min f, max f] joins the sample
-    values and the weighted mean as candidates.  Returns the least value
-    and, among the candidates attaining it, the smallest c.
+    The family kernel ``_integral_rows`` on the one set: the least objective
+    over its candidates and, among those attaining it, the smallest c.
     """
-    if not q > 0.0:
-        raise NonPositiveQ(f"q must be positive, got {q}")
+    _check_q(q)
     idx = _resolve_region(space, subset)
     if len(idx) == 0:
         raise EmptySet("oscillation over an empty set")
-    if q <= 1.0:
-        pts = np.array([idx], dtype=np.intp)
-        osc, c, _ = _integral_block(_as_values(space, f), space.weights, pts, q)
-        return (float(osc[0]), float(c[0]))
-    idx = list(idx)
-    vals = _as_values(space, f)[idx]
-    w = space.weights[idx]
-    wn = w / w.sum()
-    lo, hi = float(vals.min()), float(vals.max())
-    if lo == hi:
-        return (0.0, lo)
-
-    def objective(c):
-        return float((wn * np.abs(vals - c) ** q).sum())
-
-    cands = [*np.unique(vals), float((wn * vals).sum()), _golden_min(objective, lo, hi)]
-    best_val, best_c = np.inf, None
-    for c in sorted(cands):
-        val = objective(c)
-        if val < best_val:
-            best_val, best_c = val, c
-    return (float(best_val), float(best_c))
+    row = np.zeros((1, space.n), dtype=bool)
+    row[0, idx] = True
+    osc, c, _ = _integral_rows(_as_values(space, f), space.weights, _pack_rows(row), [len(idx)], q)
+    return (float(osc[0]), float(c[0]))
 
 
 def _integral_rows(values: np.ndarray, weights: np.ndarray, words, sizes, q: float):
-    """Kernel: q <= 1 integral oscillation, its center and the measure of many sets.
+    """Kernel: integral oscillation, its center and the measure of many sets.
 
     Each set is a row of packed member ``words`` with its size in
     ``sizes``, as for ``_shorth_rows``.  Returns three float arrays (osc,
     c, mu) in row order.  Per set, the objective sum(wn * |v - c|^q) is
-    evaluated at every sample value c in stable sorted order, and the
-    first minimum wins: the least value at the smallest minimizing c,
-    (0, v) for a constant set.  Sets of one size k go in the blocks of
-    ``_size_blocks``, whose (rows x k x k) objective array stays under
-    ``_BLOCK_ELEMS`` (candidates are split for larger k).  Each objective
-    is a row sum over a C-contiguous last axis, the same pairwise sum as
-    the 1-D ``.sum()`` of one set, and so are mu and the normalizing total.
+    evaluated at every candidate c in stable sorted order: the sample
+    values, which attain the infimum for q <= 1, and for q > 1 the weighted
+    mean and the golden-section minimum.  The first minimum wins.  The
+    blocks of ``_member_blocks`` go in groups of at most ``_BLOCK_ELEMS``
+    points that share one search, whose steps cost mostly numpy calls.
     """
     m = len(sizes)
     osc, c, mu = np.empty(m), np.empty(m), np.empty(m)
-    for sel, cols in _size_blocks(sizes, lambda k: _BLOCK_ELEMS // (k * k)):
-        pts = _member_indices(words[sel], len(values)).reshape(cols.shape)
-        osc[sel], c[sel], mu[sel] = _integral_block(values, weights, pts, q)
+    for group in _block_groups(_member_blocks(words, sizes, len(values))):
+        golden = _golden_rows(values, weights, [pts for _, pts in group], q)
+        for (sel, pts), best in zip(group, golden):
+            osc[sel], c[sel], mu[sel] = _integral_block(values, weights, pts, q, best)
     return osc, c, mu
 
 
-def _integral_block(values: np.ndarray, weights: np.ndarray, pts: np.ndarray, q: float):
+def _block_groups(blocks):
+    """Consecutive (rows, index block) pairs, grouped up to ``_BLOCK_ELEMS`` points, or one."""
+    group, points = [], 0
+    for sel, pts in blocks:
+        if group and points + pts.size > _BLOCK_ELEMS:
+            yield group
+            group, points = [], 0
+        group.append((sel, pts))
+        points += pts.size
+    if group:
+        yield group
+
+
+def _integral_block(values: np.ndarray, weights: np.ndarray, pts: np.ndarray, q: float, golden):
     """``_integral_rows`` on sets of one size, the rows of the index array ``pts``."""
     r, k = pts.shape
     v, w = values[pts], weights[pts]
     mu = w.sum(axis=1)
     wn = w / mu[:, None]
-    cands = np.sort(v, axis=1, kind="stable")
-    obj = np.empty((r, k))
+    cands = v
+    if q > 1.0:
+        cands = np.column_stack([v, (wn * v).sum(axis=1), golden])
+    cands = np.sort(cands, axis=1, kind="stable")
+    # (rows x candidates x k) slices of at most _BLOCK_ELEMS elements.
+    obj = np.empty(cands.shape)
     per = max(1, _BLOCK_ELEMS // (r * k))
-    for b in range(0, k, per):
+    for b in range(0, cands.shape[1], per):
         dev = np.abs(v[:, None, :] - cands[:, b : b + per, None]) ** q
         obj[:, b : b + per] = (wn[:, None, :] * dev).sum(axis=2)
     return obj.min(axis=1), cands[np.arange(r), obj.argmin(axis=1)], mu
+
+
+_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_rows(values: np.ndarray, weights: np.ndarray, blocks, q: float):
+    """Golden-section minimum of sum(wn * |v - c|^q) on [min v, max v], per block.
+
+    The sets are the rows of the (rows, k) index ``blocks``; for q <= 1
+    there is no search (None).  A row's bracket [a, b] moves only while
+    wider than 1e-10 times its range: the float steps of one row.
+    """
+    if q <= 1.0:
+        return [None] * len(blocks)
+    v = [values[pts] for pts in blocks]
+    wn = [w / w.sum(axis=1)[:, None] for w in (weights[pts] for pts in blocks)]
+    ends = np.cumsum([len(pts) for pts in blocks]).tolist()
+    spans = list(zip([0, *ends], ends, v, wn))
+
+    def objective(c):
+        parts = [(wb * np.abs(vb - c[lo:hi, None]) ** q).sum(axis=1) for lo, hi, vb, wb in spans]
+        return np.concatenate(parts)
+
+    a = np.concatenate([vb.min(axis=1) for vb in v])
+    b = np.concatenate([vb.max(axis=1) for vb in v])
+    tol = 1e-10 * np.maximum(b - a, 1e-300)
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = objective(c), objective(d)
+    go = b - a > tol
+    while go.any():
+        # fc <= fd keeps [a, d] and probes a new c; otherwise [c, b] and a new d.
+        left = fc <= fd
+        a = np.where(go > left, c, a)
+        b = np.where(go & left, d, b)
+        width = b - a
+        step = _INV_PHI * width
+        probe = np.where(left, b - step, a + step)
+        f_probe = objective(probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, f_probe, fd), np.where(left, fc, f_probe)
+        go &= width > tol
+    return np.split(0.5 * (a + b), ends[:-1])
 
 
 def _cached_family(space: Space, f, idx: tuple[int, ...], key: tuple, compute):
@@ -324,44 +343,23 @@ def _cached_family(space: Space, f, idx: tuple[int, ...], key: tuple, compute):
     return family, _memo(space, f, (*key, idx), lambda: compute(family))
 
 
-def _family_oscillations(space: Space, f, idx: tuple[int, ...], s: float):
-    """The canonical family inside a region with its median oscillations and measures."""
+def _family_oscillations(space: Space, f, idx: tuple[int, ...], kernel, level: float):
+    """The canonical family inside a region with ``kernel``'s oscillations and measures.
 
-    def compute(family):
-        osc, _, mu = _shorth_rows(
-            _as_values(space, f), space.weights, family.words, family.sizes, s
-        )
-        return osc.tolist(), mu.tolist()
-
-    return _cached_family(space, f, idx, ("osc_family", float(s)), compute)
-
-
-def _family_integral_oscillations(space: Space, f, idx: tuple[int, ...], q: float):
-    """The canonical family inside a region with its integral oscillations and measures.
-
-    For q <= 1 one kernel call covers the family; q > 1 runs per ball.
+    ``kernel`` is ``_shorth_rows`` (level s) or ``_integral_rows`` (level q).
     """
 
     def compute(family):
-        if q <= 1.0:
-            osc, _, mu = _integral_rows(
-                _as_values(space, f), space.weights, family.words, family.sizes, q
-            )
-            return osc.tolist(), mu.tolist()
-        rows = list(_member_rows(family.words, family.sizes, space.n))
-        return (
-            [integral_oscillation(space, f, row, q)[0] for row in rows],
-            [space.mu(row) for row in rows],
-        )
+        osc, _, mu = kernel(_as_values(space, f), space.weights, family.words, family.sizes, level)
+        return osc.tolist(), mu.tolist()
 
-    return _cached_family(space, f, idx, ("iosc_family", float(q)), compute)
+    return _cached_family(space, f, idx, (kernel.__name__, float(level)), compute)
 
 
 def bmo_median_norm(space: Space, f, region, s: float) -> float:
     """Largest median oscillation over canonical balls inside the region."""
-    if not (0.0 < s <= 0.5):
-        raise InvalidS(f"s must lie in (0, 1/2], got {s}")
-    _, (oscs, _) = _family_oscillations(space, f, _region_idx(space, region), s)
+    _check_s_up_to_half(s)
+    _, (oscs, _) = _family_oscillations(space, f, _region_idx(space, region), _shorth_rows, s)
     return max(oscs, default=0.0)
 
 
@@ -576,12 +574,11 @@ def jn_median_norm(
 
     Raises EmptyRegion, InvalidS, ExactModeTooLarge.
     """
-    if not p > 1.0:
-        raise InvalidParameter(f"p must exceed 1, got {p}")
-    if not (0.0 < s <= 0.5):
-        raise InvalidS(f"s must lie in (0, 1/2], got {s}")
+    _check_p_exceeds_1(p)
+    _check_s_up_to_half(s)
 
-    family, (oscs, mus) = _family_oscillations(space, f, _region_idx(space, region), s)
+    idx = _region_idx(space, region)
+    family, (oscs, mus) = _family_oscillations(space, f, idx, _shorth_rows, s)
     # Python floats: numpy's vectorised power can differ from ** in the last bit.
     terms = [mu * osc**p for mu, osc in zip(mus, oscs)]
     return _jn_norm(space, family, oscs, terms, p, mode, force)
@@ -600,20 +597,21 @@ def jn_centered_sup(
     """Packed sup with centers pinned to maximal t-medians.
 
     Per-ball term mu(B) * m^s_{|f - m_f^t(B)|}(B)^p; for 0 < s <= t <= 1/2
-    this sits between the norm's p-th power and 2^p times it.
+    this sits between the norm's p-th power and 2^p times it.  Per block of
+    family rows, ``_maximal_median_rows`` gives the centers, then the medians.
     """
     if not (0.0 < s <= t <= 0.5):
         raise InvalidS(f"need 0 < s <= t <= 1/2, got s={s}, t={t}")
     vals = _as_values(space, f)
 
     def compute(family):
-        oscs, mus = [], []
-        for row in _member_rows(family.words, family.sizes, space.n):
-            w = space.weights[row]
-            center = weighted_maximal_median(vals[row], w, t)
-            oscs.append(weighted_maximal_median(np.abs(vals[row] - center), w, s))
-            mus.append(space.mu(row))
-        return oscs, mus
+        oscs, mus = np.empty(len(family)), np.empty(len(family))
+        for sel, pts in _member_blocks(family.words, family.sizes, space.n):
+            v, w = vals[pts], space.weights[pts]
+            center = _maximal_median_rows(v, w, t)
+            oscs[sel] = _maximal_median_rows(np.abs(v - center[:, None]), w, s)
+            mus[sel] = w.sum(axis=1)
+        return oscs.tolist(), mus.tolist()
 
     key = ("centered_family", float(s), float(t))
     family, (oscs, mus) = _cached_family(space, f, _region_idx(space, region), key, compute)
@@ -632,14 +630,13 @@ def jn_integral_norm(
     force: bool = False,
 ) -> JNResult:
     """Integral-type John-Nirenberg norm with per-ball exponent p/q."""
-    if not p > 1.0:
-        raise InvalidParameter(f"p must exceed 1, got {p}")
-    if not q > 0.0:
-        raise NonPositiveQ(f"q must be positive, got {q}")
+    _check_p_exceeds_1(p)
+    _check_q(q)
     if not q < p:
         raise InvalidParameter(f"q must be below p, got q={q}, p={p}")
 
-    family, (oscs, mus) = _family_integral_oscillations(space, f, _region_idx(space, region), q)
+    idx = _region_idx(space, region)
+    family, (oscs, mus) = _family_oscillations(space, f, idx, _integral_rows, q)
     # Python floats: numpy's vectorised power can differ from ** in the last bit.
     terms = [mu * osc ** (p / q) for mu, osc in zip(mus, oscs)]
     return _jn_norm(space, family, oscs, terms, p, mode, force)

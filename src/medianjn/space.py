@@ -29,10 +29,9 @@ balls back: ``canonical_balls``, ``cz_family`` and a norm's packing.
 Balls given as (center, radius) pairs, such as a chain decomposition's
 balls and their dilates, come as member rows from one comparison of
 their centers' distance rows (``_ball_rows``).  Kernels that take a
-value per row of such a family (the q <= 1 integral oscillation, the
-chain decomposition's ball, link and dilate measures) group the rows
-by size with ``_size_blocks``, whose C-contiguous blocks give each row
-the bits of ``space.mu``.
+value per row of such a family (integral oscillations, maximal medians,
+the chain decomposition's measures) group the rows by size with
+``_size_blocks``, whose docstring states the bit rule of their row sums.
 
 ``doubling_profile`` reads the same order.  The breaks between distinct
 distances give every center's representative radii, B(c, r_i) is the
@@ -97,6 +96,10 @@ MIN_DOUBLING = 1.0 + 2.0**-20
 
 # Unpacked member-row elements per block when member indices are read.
 _UNPACK_ELEMS = 1 << 16
+
+# Elements per block of the row kernels, which keep each block's
+# temporaries under it; pairwise packed-word tiles take half.
+_BLOCK_ELEMS = 1 << 14
 
 # Bytes of the running-OR array per block of centers in the prefix pass.
 _PREFIX_BYTES = 1 << 16
@@ -432,17 +435,6 @@ def _member_indices(words: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
 
 
-def _member_rows(words: np.ndarray, sizes: np.ndarray, n: int):
-    """Each packed row's member indices as a list in index order, unpacked in blocks."""
-    step = max(1, _UNPACK_ELEMS // n)
-    for a in range(0, len(words), step):
-        flat = _member_indices(words[a : a + step], n).tolist()
-        lo = 0
-        for hi in np.cumsum(sizes[a : a + step]).tolist():
-            yield flat[lo:hi]
-            lo = hi
-
-
 def _size_blocks(sizes, block):
     """Rows of concatenated point lists, grouped by size, in blocks.
 
@@ -453,7 +445,8 @@ def _size_blocks(sizes, block):
     through it, a block's weights have row sums with the bits of
     ``space.mu`` on each row, the points taken in the row's own order:
     the row sum of a C-contiguous array runs the pairwise loop of the
-    1-D sum.  The family kernels that take measures per row rely on this.
+    1-D sum.  Every row kernel relies on this for its measures, objectives
+    and cumulative masses.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
@@ -463,6 +456,17 @@ def _size_blocks(sizes, block):
         for a in range(0, len(rows), step):
             part = rows[a : a + step]
             yield part, starts[part, None] + np.arange(k)
+
+
+def _point_blocks(sizes):
+    """``_size_blocks`` of at most ``_BLOCK_ELEMS`` points, or one row."""
+    return _size_blocks(sizes, lambda k: _BLOCK_ELEMS // k)
+
+
+def _member_blocks(words: np.ndarray, sizes, n: int):
+    """Per ``_point_blocks`` block of packed rows: the rows and their (rows, k) member indices."""
+    for rows, cols in _point_blocks(sizes):
+        yield rows, _member_indices(words[rows], n).reshape(cols.shape)
 
 
 def _prefix_family(space: Space, centers, budget=None, inside=None) -> _BallFamily:

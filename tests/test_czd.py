@@ -13,6 +13,7 @@ from medianjn.errors import (
     InvalidCenterLevel,
     InvalidParameter,
     InvalidS,
+    NonPositiveQ,
     PreconditionViolated,
     ThresholdViolated,
 )
@@ -103,6 +104,44 @@ def test_sharp_maximal_conventions():
     # pair ball: t-median is 1, |f - 1| has values (1, 0); at level 1/8 the
     # maximal median is the larger value.
     assert mj.sharp_maximal(pair, fp, "p0", fam, 0.5, 4.0) == 1.0
+
+
+def test_each_parameter_is_checked_wherever_it_is_read():
+    # One check per parameter, with its exception type and message, at
+    # every entry point that reads it; sharp_maximal used to accept t = 1.5.
+    line = mj.grid_space(1, 256, spacing=1 / 256)
+    f = fn(line, np.random.default_rng(0).normal(size=256))
+    b0 = mj.ball_at(line, "p128", 2.0)
+    family = mj.cz_family(line, mj.ball_at(line, "p128", 4 / 256), 1.0)
+    cases = [
+        (InvalidParameter, "t must lie in (0, 1], got 1.5", [
+            lambda: mj.sharp_maximal(line, f, "p128", family, 1.5, 4.0),
+            lambda: mj.median_maximal(line, f, "p128", family, 1.5),
+            lambda: mj.cz_params(line, b0, 1.0, t=1.5),
+        ]),
+        (InvalidS, "s must lie in (0, 1/2], got 0.75", [
+            lambda: mj.bmo_median_norm(line, f, None, 0.75),
+            lambda: mj.jn_median_norm(line, f, None, 2.0, 0.75),
+        ]),
+        (InvalidParameter, "p must exceed 1, got 1.0", [
+            lambda: mj.jn_median_norm(line, f, None, 1.0, 0.25),
+            lambda: mj.jn_integral_norm(line, f, None, 1.0, 0.5),
+            lambda: mj.cz_params(line, b0, 1.0, p=1.0),
+        ]),
+        (NonPositiveQ, "q must be positive, got 0.0", [
+            lambda: mj.integral_oscillation(line, f, None, 0.0),
+            lambda: mj.jn_integral_norm(line, f, None, 2.0, 0.0),
+        ]),
+        (InvalidParameter, "eta must be positive, got 0.0", [
+            lambda: mj.alpha_of(_profile(2.0), 0.0),
+            lambda: mj.cz_family(line, b0, 0.0),
+        ]),
+    ]
+    for error, message, calls in cases:
+        for call in calls:
+            with pytest.raises(error) as info:
+                call()
+            assert str(info.value) == message
 
 
 def test_decompose_spike_cluster():

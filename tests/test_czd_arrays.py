@@ -1,10 +1,11 @@
 """The CZ layer on family arrays against test-local copies of the per-ball code.
 
 The copies below are the loops that ``cz_params``, ``cz_decompose``,
-``cz_nested`` and ``jn_centered_sup`` ran before the CZ family was read
-as cached arrays: the per-point ball lists (``point_balls``), the family
-medians per ``Ball``, the maximal function and witness loops, and the
-centered norm's per-ball terms.  Every decomposition field, nested pair,
+``cz_nested``, ``jn_centered_sup``, ``median_maximal`` and
+``sharp_maximal`` ran before the CZ family was read as cached arrays:
+the per-point ball lists (``point_balls``), the family medians per
+``Ball``, the maximal function and witness loops, and the per-ball terms
+and medians.  Every decomposition field, nested pair,
 good-lambda side (as hex), centered total (as hex) and packing, and
 every raised error, must match them exactly.
 """
@@ -191,6 +192,32 @@ def reference_good_lambda(f, params, p, s, lam):
     return lhs, rhs
 
 
+def reference_median_maximal(space, f, x, family, t):
+    """The former ``median_maximal``: one ``weighted_maximal_median`` per ball through x."""
+    g = np.abs(_as_values(space, f))
+    xi = space.index(x)
+    best = 0.0
+    for ball in family:
+        if xi in ball.idx:
+            idx = list(ball.idx)
+            best = max(best, mj.weighted_maximal_median(g[idx], space.weights[idx], t))
+    return best
+
+
+def reference_sharp_maximal(space, f, x, family, t, beta):
+    """The former ``sharp_maximal``: two ``weighted_maximal_median`` calls per ball through x."""
+    vals = _as_values(space, f)
+    xi = space.index(x)
+    best = 0.0
+    for ball in family:
+        if xi in ball.idx:
+            idx = list(ball.idx)
+            w = space.weights[idx]
+            center = mj.weighted_maximal_median(vals[idx], w, t)
+            best = max(best, mj.weighted_maximal_median(np.abs(vals[idx] - center), w, t / beta))
+    return best
+
+
 def reference_centered_sup(space, f, region, p, s, t, mode="exact", force=False):
     vals = _as_values(space, f)
 
@@ -298,6 +325,42 @@ def test_cluster_spikes_match_the_per_ball_code(p):
         lhs, rhs = reference_good_lambda(f, params, p, s, lam)
         assert (res.lhs.hex(), res.rhs.hex()) == (lhs.hex(), rhs.hex())
     assert built >= 30
+
+
+def assert_maximal_functions_match(space, f, family, ts, beta):
+    for x in space.point_ids:
+        for t in ts:
+            got = mj.median_maximal(space, f, x, family, t)
+            assert got.hex() == reference_median_maximal(space, f, x, family, t).hex()
+            got = mj.sharp_maximal(space, f, x, family, t, beta)
+            assert got.hex() == reference_sharp_maximal(space, f, x, family, t, beta).hex()
+
+
+def test_maximal_functions_match_the_per_ball_code():
+    # M and f-sharp at every point as hex: on CZ families of spike
+    # configurations and of the 256-point line, on hand-made ball lists
+    # with repeats and a point outside every ball, and on no balls.
+    rng = np.random.default_rng(1601)
+    for t in (0.5, 1.0):
+        params, f, _, _ = acceptance.spike_cluster_config(rng)
+        assert_maximal_functions_match(params.space, f, params.family, (t,), 4.0)
+    line = mj.grid_space(1, 256, spacing=1 / 256)
+    f = mj.SampleFunction.from_values(line, rng.normal(size=256))
+    family = mj.cz_family(line, mj.ball_at(line, "p128", 8 / 256), 1.0)
+    assert_maximal_functions_match(line, f, family, (0.5, 0.2), 2.0)
+    space = acceptance.random_space(rng, max_n=12, min_n=10, dim=2)
+    f = mj.SampleFunction.from_values(space, np.round(rng.normal(size=space.n), 1))
+    outside = space.point_ids[-1]
+    others = [pid for pid in space.point_ids if pid != outside]
+    balls = [
+        b for b in mj.canonical_balls(space) if space.index(outside) not in b.idx
+    ]
+    balls = [balls[i] for i in rng.integers(len(balls), size=20)]
+    assert all(space.index(outside) not in b.idx for b in balls) and others
+    assert_maximal_functions_match(space, f, balls, (0.5, 0.3), 3.0)
+    assert mj.median_maximal(space, f, outside, balls, 0.5) == 0.0
+    assert mj.sharp_maximal(space, f, outside, balls, 0.5, 3.0) == 0.0
+    assert_maximal_functions_match(space, f, [], (0.5,), 3.0)
 
 
 def test_grids_match_the_per_ball_code():

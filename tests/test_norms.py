@@ -86,16 +86,47 @@ def test_integral_oscillation_at_most_one_is_sample_minimum():
         assert c in set(f.values.tolist())
 
 
+def _old_golden_min(fn, lo, hi, rel_tol=1e-10):
+    """The former scalar golden-section search of the q > 1 per-ball path."""
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    span = max(hi - lo, 1e-300)
+    while (b - a) > rel_tol * span:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
+
+
 def _old_integral_oscillation(values, weights, idx, q):
-    """The former q <= 1 per-ball path: each distinct value scored in turn."""
+    """The former per-ball path: each distinct value scored in turn.
+
+    For q > 1 the weighted mean and a golden-section minimum join the
+    distinct values, and the candidates are scored in sorted order.
+    """
     vals, w = values[list(idx)], weights[list(idx)]
     wn = w / w.sum()
     lo, hi = float(vals.min()), float(vals.max())
     if lo == hi:
         return (0.0, lo)
+
+    def objective(c):
+        return float((wn * np.abs(vals - c) ** q).sum())
+
+    cands = list(np.unique(vals))
+    if q > 1.0:
+        cands += [float((wn * vals).sum()), _old_golden_min(objective, lo, hi)]
     best_val, best_c = np.inf, None
-    for c in sorted(np.unique(vals)):
-        val = float((wn * np.abs(vals - c) ** q).sum())
+    for c in sorted(cands):
+        val = objective(c)
         if val < best_val:
             best_val, best_c = val, c
     return (float(best_val), float(best_c))
@@ -103,11 +134,12 @@ def _old_integral_oscillation(values, weights, idx, q):
 
 def test_integral_kernel_matches_per_ball_path():
     # Per set: osc and mu as float hex, c under == against the former
-    # per-ball loop.  A zero c takes the sign of the lowest-index member
-    # holding it (stable sort); before, it followed numpy's unstable sort.
-    # Families: canonical balls of random spaces, and rows of sizes around
-    # the pairwise-sum block edges 8 and 128; values generic, rounded,
-    # integer with both signed zeros, and constant.
+    # per-ball loop.  A zero c that is a sample value takes the sign of the
+    # lowest-index member holding it (stable sort); before, it followed
+    # numpy's unstable sort, for q > 1 as well.  Families: canonical balls
+    # of random spaces, and rows of sizes around the pairwise-sum block
+    # edges 8 and 128; values generic, rounded, integer with both signed
+    # zeros, and constant; q on both sides of 1.
     rng = np.random.default_rng(44)
     checked = 0
     for trial in range(80):
@@ -128,28 +160,44 @@ def test_integral_kernel_matches_per_ball_path():
                      rng.integers(-1, 2, size=n).astype(float)),
             np.full(n, float(rng.normal())),
         ][kind]
-        for q in (1.0, 0.7, 0.5, 0.25):
+        for q in (1.0, 0.7, 0.5, 0.25, 1.3, 2.0, 3.0):
             osc, c, mu = norms._integral_rows(values, weights, *packed(rows, n), q)
             for b, idx in enumerate(rows):
                 old_osc, old_c = _old_integral_oscillation(values, weights, idx, q)
                 assert float(osc[b]).hex() == old_osc.hex(), (trial, q, b)
                 assert float(c[b]) == old_c, (trial, q, b)
                 assert float(mu[b]).hex() == float(weights[list(idx)].sum()).hex()
-                holder = next(i for i in idx if values[i] == c[b])
-                assert math.copysign(1.0, c[b]) == math.copysign(1.0, values[holder])
+                holder = next((i for i in idx if values[i] == c[b]), None)
+                assert holder is not None or q > 1.0
+                if holder is not None:
+                    assert math.copysign(1.0, c[b]) == math.copysign(1.0, values[holder])
                 checked += 1
-    assert checked > 8000
+    assert checked > 14000
+
+
+def test_integral_oscillation_is_a_one_row_block():
+    # The one-set call and the family kernel give the same bits for every q.
+    rng = np.random.default_rng(46)
+    for _ in range(8):
+        sp = random_space(rng, max_n=10)
+        f = fn(sp, np.round(rng.normal(size=sp.n), int(rng.integers(0, 3))))
+        rows = [b.idx for b in mj.canonical_balls(sp)]
+        for q in (0.5, 1.0, 2.0):
+            osc, c, _ = norms._integral_rows(f.values, sp.weights, *packed(rows, sp.n), q)
+            for b, idx in enumerate(rows):
+                one = mj.integral_oscillation(sp, f, idx, q)
+                assert (one[0].hex(), one[1].hex()) == (float(osc[b]).hex(), float(c[b]).hex())
 
 
 def test_jn_integral_norm_matches_per_ball_path():
     # Totals as float hex and identical packings, against terms built from
-    # the former per-ball oscillations.
+    # the former per-ball oscillations, for q on both sides of 1.
     rng = np.random.default_rng(45)
-    for trial in range(40):
+    for trial in range(60):
         sp = random_space(rng, max_n=9, dim=1 + trial % 2)
         f = fn(sp, np.round(rng.normal(size=sp.n), int(rng.integers(0, 3))))
-        p = float(rng.choice([1.5, 2.0, 3.0]))
-        q = float(rng.choice([1.0, 0.7, 0.5, 0.25]))
+        p = float(rng.choice([1.5, 2.0, 3.0, 4.5]))
+        q = float(rng.choice([x for x in (1.0, 0.7, 0.5, 0.25, 1.3, 2.0, 3.0) if x < p]))
         mode = ("exact", "greedy")[trial % 2]
         got = mj.jn_integral_norm(sp, f, None, p, q, mode=mode, force=True)
         balls = mj.canonical_balls(sp)
@@ -548,7 +596,7 @@ def test_exact_packing_matches_interval_scheduling_on_lines(monkeypatch):
         norms, "_interval_optimum", lambda *args: calls.append(1) or optimum(*args)
     )
     for sp, f, s, p in _interval_instances():
-        _, (oscs, mus) = norms._family_oscillations(sp, f, tuple(range(sp.n)), s)
+        _, (oscs, mus) = norms._family_oscillations(sp, f, tuple(range(sp.n)), norms._shorth_rows, s)
         balls = mj.canonical_balls(sp)
         terms = [mu * osc**p for mu, osc in zip(mus, oscs)]
         res = mj.jn_median_norm(sp, f, None, p, s, force=True)
