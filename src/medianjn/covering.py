@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateViolation, EmptyFamily
-from .space import Ball, Space, dilate
+from .space import Ball, Space, _balls_at
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def five_cover(space: Space, balls) -> FiveCover:
                 remaining.discard(j)
 
     chosen = tuple(family[i] for i in selected)
-    dilates = tuple(dilate(space, b, 5.0) for b in chosen)
+    dilates = _balls_at(space, ((b.center, 5.0 * b.radius) for b in chosen))
     for j, ball in enumerate(family):
         if not members[j].issubset(dilates[assignment[j]].idx):
             raise CertificateViolation(

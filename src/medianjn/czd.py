@@ -59,14 +59,8 @@ from .errors import (
     PreconditionViolated,
     ThresholdViolated,
 )
-from .median import (
-    _as_values,
-    _maximal_median_rows,
-    _memo,
-    maximal_median,
-    weighted_maximal_median,
-)
-from .norms import _check_p_exceeds_1, jn_median_norm
+from .median import _as_values, _maximal_median_rows, maximal_median, weighted_maximal_median
+from .norms import _cached_family, _check_p_exceeds_1, jn_median_norm
 from .space import (
     Ball,
     DoublingProfile,
@@ -164,12 +158,10 @@ def cz_params(
     t: float = 0.5,
     p: float = 2.0,
     K: float | None = None,
-    profile: DoublingProfile | None = None,
 ) -> CZParams:
     _check_t(t)
     _check_p_exceeds_1(p)
-    if profile is None:
-        profile = doubling_profile(space)
+    profile = doubling_profile(space)
     if K is None:
         K = 2.0 ** (1.0 / p)
     if not K > 1.0:
@@ -196,8 +188,8 @@ def cz_params(
 # ---------------------------------------------------------------- maximal functions
 
 
-def _family_medians(f, params: CZParams, family: _BallFamily) -> np.ndarray:
-    """The t-median of |f| on every CZ family row; the space keeps them per SampleFunction.
+def _family_medians(f, params: CZParams) -> tuple[_BallFamily, np.ndarray]:
+    """The CZ family's arrays and the t-median of |f| on every row (``norms._cached_family``).
 
     Rows of one size go through ``_maximal_median_rows`` in the blocks of
     ``space._member_blocks``, each row with the bits of the one-set
@@ -205,14 +197,15 @@ def _family_medians(f, params: CZParams, family: _BallFamily) -> np.ndarray:
     """
     space = params.space
 
-    def compute():
+    def compute(family):
         g, w = np.abs(_as_values(space, f)), space.weights
         med = np.empty(len(family))
         for sel, pts in _member_blocks(family.words, family.sizes, space.n):
             med[sel] = _maximal_median_rows(g[pts], w[pts], params.t)
         return med
 
-    return _memo(space, f, ("cz_medians", params.b0.idx, params.budget, params.t), compute)
+    family_key = (params.b0.idx, params.budget)
+    return _cached_family(space, f, family_key, ("cz_medians", params.t), compute)
 
 
 def _threshold(params: CZParams, g: np.ndarray) -> float:
@@ -329,12 +322,10 @@ def _word_keys(words: np.ndarray) -> list:
 
 def _family_rows(params: CZParams, family: _BallFamily) -> dict:
     """Member set (as ``_word_keys``) -> row of the CZ family, cached with the family."""
-    key = ("cz_rows", params.b0.idx, params.budget)
-    cache = params.space._cache()
-    rows = cache.get(key)
-    if rows is None:
-        rows = cache[key] = {k: i for i, k in enumerate(_word_keys(family.words))}
-    return rows
+    return params.space._cached(
+        ("cz_rows", params.b0.idx, params.budget),
+        lambda: {k: i for i, k in enumerate(_word_keys(family.words))},
+    )
 
 
 def cz_decompose(f, params: CZParams, lam: float) -> CZDecomposition:
@@ -360,8 +351,7 @@ def _decompose(f, params: CZParams, lam: float, required: dict):
         raise ThresholdViolated(
             f"median threshold {threshold:.6g} exceeds level {lam:.6g}"
         )
-    family = _canonical_family(space, params.b0.idx, params.budget)
-    med = _family_medians(f, params, family)
+    family, med = _family_medians(f, params)
 
     # Candidate witnesses: the rows whose median exceeds lambda, in
     # (-radius, center index, row) order; the rows come in (center, radius)
@@ -606,13 +596,13 @@ class LocalJNReport:
         }
 
 
-def default_lambda_grid(lambda0: float, hi: float, count: int = 50) -> np.ndarray:
-    """Log-spaced grid from just above lambda0 up to hi."""
+def _default_lambda_grid(lambda0: float, hi: float) -> np.ndarray:
+    """Log-spaced grid of 50 levels from just above lambda0 up to hi."""
     if hi <= 0.0:
         return np.array([1.0])
     lo = lambda0 * 1.01 if lambda0 > 0.0 else hi * 1e-6
     lo = min(lo, hi)
-    return np.geomspace(lo, hi, count)
+    return np.geomspace(lo, hi, 50)
 
 
 def local_jn_verify(
@@ -645,7 +635,7 @@ def local_jn_verify(
     c_const = local_jn_constant(p, params.profile.c_mu)
 
     if lambda_grid is None:
-        lambda_grid = default_lambda_grid(lambda0, 2.0 * float(g[hat_idx].max()))
+        lambda_grid = _default_lambda_grid(lambda0, 2.0 * float(g[hat_idx].max()))
     entries = []
     b0_idx = list(params.b0.idx)
     for lam in np.asarray(lambda_grid, dtype=float):

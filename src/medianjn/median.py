@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySet, InvalidParameter, InvalidS
-from .space import _BLOCK_ELEMS, Space, _member_indices, _resolve_region
+from .errors import InvalidParameter, InvalidS
+from .space import _BLOCK_ELEMS, Space, _member_indices, _set_idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +60,7 @@ class SampleFunction:
     @staticmethod
     def from_mapping(space: Space, mapping) -> "SampleFunction":
         missing = [p for p in space.point_ids if p not in mapping]
-        extra = [p for p in mapping if p not in set(space.point_ids)]
+        extra = [p for p in mapping if p not in space._index_table()]
         if missing or extra:
             raise InvalidParameter(
                 f"function ids must exactly cover the space "
@@ -98,13 +98,7 @@ def _memo(space: Space, f, key, compute):
     """
     if not isinstance(f, SampleFunction):
         return compute()
-    cache = space._cache()
-    per_function = cache.get("functions")
-    if per_function is None:
-        per_function = cache["functions"] = weakref.WeakKeyDictionary()
-    results = per_function.get(f)
-    if results is None:
-        results = per_function[f] = {}
+    results = space._cached("functions", weakref.WeakKeyDictionary).setdefault(f, {})
     hit = results.get(key)
     if hit is None:
         hit = results[key] = compute()
@@ -114,22 +108,6 @@ def _memo(space: Space, f, key, compute):
 def _check_s(s: float) -> None:
     if not (0.0 < s <= 1.0):
         raise InvalidS(f"s must lie in (0, 1], got {s}")
-
-
-@dataclass(frozen=True)
-class _MedianQuery:
-    """Validated (s, subset) pair for median operations."""
-
-    s: float
-    idx: tuple[int, ...]
-
-    @staticmethod
-    def of(space: Space, subset, s: float) -> "_MedianQuery":
-        _check_s(s)
-        idx = _resolve_region(space, subset)
-        if len(idx) == 0:
-            raise EmptySet("median over an empty set")
-        return _MedianQuery(s=float(s), idx=idx)
 
 
 def _as_values(space: Space, f) -> np.ndarray:
@@ -144,22 +122,18 @@ def _as_values(space: Space, f) -> np.ndarray:
 
 
 def weighted_maximal_median(values: np.ndarray, weights: np.ndarray, s: float) -> float:
-    """Kernel: maximal s-median of weighted samples."""
-    order = np.argsort(values)
-    v = values[order]
-    w = weights[order]
-    total = w.sum()
-    tails = total - np.cumsum(w)  # mass strictly above each sorted position
-    j = int(np.argmax(tails < s * total))
-    return float(v[j])
+    """Kernel: maximal s-median of weighted samples, ``_maximal_median_rows`` on one row."""
+    return float(_maximal_median_rows(values[None], weights[None], s)[0])
 
 
 def _maximal_median_rows(values: np.ndarray, weights: np.ndarray, s: float) -> np.ndarray:
-    """``weighted_maximal_median`` of every row of two (rows, k) arrays, bit for bit.
+    """Kernel: maximal s-median of every row of two (rows, k) arrays of values and weights.
 
-    Each row gets the same default ``argsort`` as one row alone, and its
-    total and cumulative masses run along a C-contiguous row, the loops
-    of the 1-D ``sum`` and ``cumsum``.
+    Per row, the first value in default ``argsort`` order at which the
+    mass after it in that order, the total less the running sum, falls
+    below s times the total.  The total and the running sums go along a
+    C-contiguous row, the loops of the 1-D ``sum`` and ``cumsum``, so a
+    row's result does not depend on the other rows.
     """
     r, k = values.shape
     base = (np.arange(r) * k)[:, None]
@@ -177,32 +151,33 @@ def maximal_median(space: Space, f, subset, s: float) -> float:
 
     Raises EmptySet and InvalidS.
     """
-    q = _MedianQuery.of(space, subset, s)
-    vals = _as_values(space, f)[list(q.idx)]
-    return weighted_maximal_median(vals, space.weights[list(q.idx)], q.s)
+    _check_s(s)
+    idx = list(_set_idx(space, subset))
+    return weighted_maximal_median(_as_values(space, f)[idx], space.weights[idx], float(s))
 
 
 def is_s_median(space: Space, value: float, f, subset, s: float) -> bool:
     """True iff mu{f > value} <= s mu(A) and mu{f < value} <= (1-s) mu(A)."""
-    q = _MedianQuery.of(space, subset, s)
-    vals = _as_values(space, f)[list(q.idx)]
-    w = space.weights[list(q.idx)]
+    _check_s(s)
+    idx, s = list(_set_idx(space, subset)), float(s)
+    vals, w = _as_values(space, f)[idx], space.weights[idx]
     total = w.sum()
     above = w[vals > value].sum()
     below = w[vals < value].sum()
-    return bool(above <= q.s * total and below <= (1.0 - q.s) * total)
+    return bool(above <= s * total and below <= (1.0 - s) * total)
 
 
 def median_oscillation(space: Space, f, subset, s: float) -> tuple[float, float]:
     """Exact inf over c of m_{|f - c|}^s(B) and the smallest minimizing c."""
-    q = _MedianQuery.of(space, subset, s)
+    _check_s(s)
+    idx, s = _set_idx(space, subset), float(s)
 
     def compute():
-        members, sizes = np.array(q.idx, dtype=np.intp), np.array([len(q.idx)])
-        osc, c, _ = _shorth_block(_as_values(space, f), space.weights, members, sizes, q.s)
+        members, sizes = np.array(idx, dtype=np.intp), np.array([len(idx)])
+        osc, c, _ = _shorth_block(_as_values(space, f), space.weights, members, sizes, s)
         return (float(osc[0]), float(c[0]))
 
-    return _memo(space, f, ("osc", q.idx, q.s), compute)
+    return _memo(space, f, ("osc", idx, s), compute)
 
 
 def _shorth_rows(values: np.ndarray, weights: np.ndarray, words, sizes, s: float):

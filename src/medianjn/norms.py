@@ -87,8 +87,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    EmptyRegion,
-    EmptySet,
     ExactModeTooLarge,
     InvalidParameter,
     InvalidS,
@@ -106,7 +104,8 @@ from .space import (
     _member_blocks,
     _member_matrix,
     _pack_rows,
-    _resolve_region,
+    _region_idx,
+    _set_idx,
 )
 
 EXACT_MODE_LIMIT = 32
@@ -148,13 +147,6 @@ class JNResult:
             "packing": self.packing.to_json(),
             "mode": self.mode,
         }
-
-
-def _region_idx(space: Space, region) -> tuple[int, ...]:
-    idx = _resolve_region(space, region)
-    if len(idx) == 0:
-        raise EmptyRegion("norm over an empty region")
-    return idx
 
 
 def _check_p(p: float) -> None:
@@ -229,9 +221,7 @@ def integral_oscillation(space: Space, f, subset, q: float) -> tuple[float, floa
     over its candidates and, among those attaining it, the smallest c.
     """
     _check_q(q)
-    idx = _resolve_region(space, subset)
-    if len(idx) == 0:
-        raise EmptySet("oscillation over an empty set")
+    idx = _set_idx(space, subset)
     row = np.zeros((1, space.n), dtype=bool)
     row[0, idx] = True
     osc, c, _ = _integral_rows(_as_values(space, f), space.weights, _pack_rows(row), [len(idx)], q)
@@ -334,13 +324,15 @@ def _golden_rows(values: np.ndarray, weights: np.ndarray, blocks, q: float):
     return np.split(0.5 * (a + b), ends[:-1])
 
 
-def _cached_family(space: Space, f, idx: tuple[int, ...], key: tuple, compute):
-    """The canonical family inside a region and ``compute(family)``.
+def _cached_family(space: Space, f, family_key: tuple, key: tuple, compute):
+    """The family ``_canonical_family(space, *family_key)`` and ``compute(family)``.
 
-    One call per (region, key); the space keeps the result for a SampleFunction.
+    ``family_key`` is (region,) for the canonical balls inside a region and
+    (B0 members, budget) for a CZ family.  One call per (family, key); the
+    space keeps the result for a SampleFunction.
     """
-    family = _canonical_family(space, idx)
-    return family, _memo(space, f, (*key, idx), lambda: compute(family))
+    family = _canonical_family(space, *family_key)
+    return family, _memo(space, f, (*key, *family_key), lambda: compute(family))
 
 
 def _family_oscillations(space: Space, f, idx: tuple[int, ...], kernel, level: float):
@@ -353,7 +345,7 @@ def _family_oscillations(space: Space, f, idx: tuple[int, ...], kernel, level: f
         osc, _, mu = kernel(_as_values(space, f), space.weights, family.words, family.sizes, level)
         return osc.tolist(), mu.tolist()
 
-    return _cached_family(space, f, idx, (kernel.__name__, float(level)), compute)
+    return _cached_family(space, f, (idx,), (kernel.__name__, float(level)), compute)
 
 
 def bmo_median_norm(space: Space, f, region, s: float) -> float:
@@ -614,7 +606,7 @@ def jn_centered_sup(
         return oscs.tolist(), mus.tolist()
 
     key = ("centered_family", float(s), float(t))
-    family, (oscs, mus) = _cached_family(space, f, _region_idx(space, region), key, compute)
+    family, (oscs, mus) = _cached_family(space, f, (_region_idx(space, region),), key, compute)
     # Python floats: numpy's vectorised power can differ from ** in the last bit.
     terms = [mu * osc**p for mu, osc in zip(mus, oscs)]
     return _jn_norm(space, family, oscs, terms, p, mode, force)

@@ -13,6 +13,19 @@ distinct member set, using the upper endpoint of that interval as the
 representative radius; this makes dilation maximal, which is the
 conservative choice when estimating doubling constants.
 
+Each shared step of the API has one home here.  A subset or region (None,
+a Ball, point ids or point indices) is resolved by ``_set_idx`` for the
+medians and oscillations of a set, which raises EmptySet when it is
+empty, and by ``_region_idx`` for the norms and ball families of a
+region, which raises EmptyRegion; both read ``_resolve_region``, where
+an unknown id, an index outside [0, n) or a bool raises UnknownCenter.
+What a space derives once (its id table, distance order, ball families,
+doubling profile and each SampleFunction's results) is kept through
+``Space._cached(key, compute)``; the one other reader of the cache is
+``czd.cz_family``, which keeps only the latest family's balls.  Every
+``Ball`` is built by ``_balls`` from center indices, radii and the
+concatenated member indices of the balls.
+
 Every ball around a center is a prefix of that center's points in stable
 distance order, ending where the distance changes.  The order of every
 row is computed once per space and cached.  A ball family (the canonical
@@ -66,6 +79,7 @@ ratio is still swept, since it may attain that ratio at an earlier
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -75,6 +89,7 @@ import numpy as np
 from .errors import (
     AsymmetricMetric,
     EmptyRegion,
+    EmptySet,
     InvalidParameter,
     NonPositiveDilation,
     NonPositiveRadius,
@@ -132,16 +147,21 @@ class Space:
 
     def _index_table(self) -> dict:
         """Point id -> index (cached)."""
-        table = self._cache().get("index")
-        if table is None:
-            table = self._cache()["index"] = {pid: i for i, pid in enumerate(self.point_ids)}
-        return table
+        return self._cached("index", lambda: {pid: i for i, pid in enumerate(self.point_ids)})
 
     def mu(self, idx) -> float:
         """Measure of a set of point indices."""
         if len(idx) == 0:
             return 0.0
         return float(self.weights[np.asarray(idx, dtype=int)].sum())
+
+    def _cached(self, key, compute):
+        """``compute()``, computed on the first call per key and kept with the space."""
+        cache = self._cache()
+        hit = cache.get(key)
+        if hit is None:
+            hit = cache[key] = compute()
+        return hit
 
     def _cache(self) -> dict:
         cache = getattr(self, _CACHE_ATTR, None)
@@ -197,21 +217,27 @@ class DoublingProfile:
 
 
 def _point_ids(space: Space) -> np.ndarray:
-    cache = space._cache()
-    ids = cache.get("ids")
-    if ids is None:
-        ids = cache["ids"] = np.array(space.point_ids, dtype=object)
-    return ids
+    """The point ids as an object array (cached)."""
+    return space._cached("ids", lambda: np.array(space.point_ids, dtype=object))
+
+
+def _balls(space: Space, centers, radii, members: np.ndarray, sizes) -> list[Ball]:
+    """``Ball``s from center indices, radii and their member indices concatenated.
+
+    Ball t's members are the next ``sizes[t]`` entries of ``members``, in index order.
+    """
+    ends = list(itertools.accumulate(sizes))
+    idx, ids = members.tolist(), _point_ids(space)[members].tolist()
+    pids = space.point_ids
+    return [
+        Ball(center=pids[c], radius=float(r), members=tuple(ids[lo:hi]), idx=tuple(idx[lo:hi]))
+        for c, r, lo, hi in zip(centers, radii, [0, *ends], ends)
+    ]
 
 
 def _make_ball(space: Space, center_idx: int, radius: float) -> Ball:
     sel = np.flatnonzero(space.dist[center_idx] < radius)
-    return Ball(
-        center=space.point_ids[center_idx],
-        radius=float(radius),
-        members=tuple(_point_ids(space)[sel].tolist()),
-        idx=tuple(sel.tolist()),
-    )
+    return _balls(space, [center_idx], [radius], sel, [len(sel)])[0]
 
 
 def _euclidean(coords: np.ndarray) -> np.ndarray:
@@ -331,19 +357,7 @@ def _ball_rows(space: Space, pairs) -> tuple[list, list, np.ndarray]:
 def _balls_at(space: Space, pairs) -> tuple[Ball, ...]:
     """The ``Ball``s of ``ball_at`` for many (center id, radius) pairs, in order."""
     centers, radii, rows = _ball_rows(space, pairs)
-    owner, cols = np.nonzero(rows)  # each row's members in index order
-    ends = np.searchsorted(owner, np.arange(1, len(centers) + 1)).tolist()
-    idx, ids = cols.tolist(), _point_ids(space)[cols].tolist()
-    pids = space.point_ids
-    return tuple(
-        Ball(
-            center=pids[c],
-            radius=float(r),
-            members=tuple(ids[lo:hi]),
-            idx=tuple(idx[lo:hi]),
-        )
-        for c, r, lo, hi in zip(centers, radii, [0, *ends], ends)
-    )
+    return tuple(_balls(space, centers, radii, np.nonzero(rows)[1], rows.sum(axis=1).tolist()))
 
 
 def _balls_from_json(space: Space, obj) -> tuple[Ball, ...]:
@@ -369,14 +383,15 @@ def dilate(space: Space, ball: Ball, lam: float) -> Ball:
 def _resolve_region(space: Space, region) -> tuple[int, ...]:
     """Sorted distinct indices of a region: None, a Ball, point ids or indices.
 
-    Raises UnknownCenter for an unknown id or an index outside [0, n).
+    Raises UnknownCenter for an unknown id, an index outside [0, n) or a
+    bool entry (Python or numpy), which is neither an id nor an index.
     """
     if region is None:
         return tuple(range(space.n))
     if isinstance(region, Ball):
         return region.idx
     items = list(region)
-    if items and all(isinstance(p, (int, np.integer)) for p in items):
+    if items and all(isinstance(p, (int, np.integer)) and not isinstance(p, bool) for p in items):
         idx = {int(p) for p in items}
         if min(idx) < 0 or max(idx) >= space.n:
             raise UnknownCenter(f"point indices must lie in [0, {space.n}), got {sorted(idx)}")
@@ -385,13 +400,26 @@ def _resolve_region(space: Space, region) -> tuple[int, ...]:
     return tuple(sorted(idx))
 
 
+def _set_idx(space: Space, subset) -> tuple[int, ...]:
+    """``_resolve_region`` of a set for a median or an oscillation; EmptySet if it is empty."""
+    idx = _resolve_region(space, subset)
+    if len(idx) == 0:
+        raise EmptySet("median or oscillation over an empty set")
+    return idx
+
+
+def _region_idx(space: Space, region) -> tuple[int, ...]:
+    """``_resolve_region`` of a region for a norm or a ball family; EmptyRegion if it is empty."""
+    idx = _resolve_region(space, region)
+    if len(idx) == 0:
+        raise EmptyRegion("norm or ball family over an empty region")
+    return idx
+
+
 def _distance_order(space: Space) -> np.ndarray:
     """Stable ``argsort`` of every distance row, as int32 (cached)."""
-    cache = space._cache()
-    order = cache.get("order")
-    if order is None:
-        order = cache["order"] = np.argsort(space.dist, axis=1, kind="stable").astype(np.int32)
-    return order
+    return space._cached(
+        "order", lambda: np.argsort(space.dist, axis=1, kind="stable").astype(np.int32))
 
 
 @dataclass(frozen=True, eq=False)
@@ -555,26 +583,14 @@ def _family_balls(space: Space, family: _BallFamily, rows=None) -> tuple[Ball, .
     if rows is None:
         rows = np.arange(len(family))
     rows = np.asarray(rows, dtype=np.intp)
-    words, sizes = family.words[rows], family.sizes[rows]
+    words, sizes = family.words[rows], family.sizes[rows].tolist()
     centers, radii = family.centers[rows].tolist(), family.radii[rows].tolist()
-    ids = _point_ids(space)
-    pids = space.point_ids
     step = max(1, _UNPACK_ELEMS // space.n)
     balls = []
     for a in range(0, len(rows), step):
-        cols = _member_indices(words[a : a + step], space.n)
-        idx_list, id_list = cols.tolist(), ids[cols].tolist()
-        lo = 0
-        for t, hi in enumerate(np.cumsum(sizes[a : a + step]).tolist(), start=a):
-            balls.append(
-                Ball(
-                    center=pids[centers[t]],
-                    radius=radii[t],
-                    members=tuple(id_list[lo:hi]),
-                    idx=tuple(idx_list[lo:hi]),
-                )
-            )
-            lo = hi
+        part = slice(a, a + step)
+        members = _member_indices(words[part], space.n)
+        balls += _balls(space, centers[part], radii[part], members, sizes[part])
     return tuple(balls)
 
 
@@ -583,16 +599,15 @@ def _canonical_family(space: Space, region_idx: tuple[int, ...], budget=None) ->
 
     With a budget, that of ``czd.cz_family`` for a base ball with these members.
     """
-    key = ("family", region_idx, budget)
-    cache = space._cache()
-    family = cache.get(key)
-    if family is None:
+
+    def compute():
         inside = None
         if budget is None and len(region_idx) < space.n:
             inside = np.zeros(space.n, dtype=bool)
             inside[list(region_idx)] = True
-        family = cache[key] = _prefix_family(space, region_idx, budget, inside)
-    return family
+        return _prefix_family(space, region_idx, budget, inside)
+
+    return space._cached(("family", region_idx, budget), compute)
 
 
 def canonical_balls(space: Space, region=None) -> tuple[Ball, ...]:
@@ -602,14 +617,9 @@ def canonical_balls(space: Space, region=None) -> tuple[Ball, ...]:
     smallest center index, then the largest radius.  Raises EmptyRegion
     and UnknownCenter.
     """
-    region_idx = _resolve_region(space, region)
-    if len(region_idx) == 0:
-        raise EmptyRegion("canonical_balls needs a nonempty region")
-    key = ("canon", region_idx)
-    cache = space._cache()
-    if key not in cache:
-        cache[key] = _family_balls(space, _canonical_family(space, region_idx))
-    return cache[key]
+    region_idx = _region_idx(space, region)
+    return space._cached(
+        ("canon", region_idx), lambda: _family_balls(space, _canonical_family(space, region_idx)))
 
 
 def _prefix_measures(weights: np.ndarray, rank: np.ndarray, centers, *lengths) -> tuple:
@@ -634,11 +644,11 @@ def _prefix_measures(weights: np.ndarray, rank: np.ndarray, centers, *lengths) -
 
 
 def doubling_profile(space: Space) -> DoublingProfile:
-    """Doubling constant over every center and radius, plus the ratio certificate."""
-    cache = space._cache()
-    if "profile" in cache:
-        return cache["profile"]
+    """Doubling constant over every center and radius, plus the ratio certificate (cached)."""
+    return space._cached("profile", lambda: _doubling_profile(space))
 
+
+def _doubling_profile(space: Space) -> DoublingProfile:
     n = space.n
     order = _distance_order(space)
     sd = np.take_along_axis(space.dist, order, axis=1)
@@ -720,15 +730,13 @@ def doubling_profile(space: Space) -> DoublingProfile:
             break
     worst_quad = (space.point_ids[x], big_r, space.point_ids[y], r_small)
 
-    profile = DoublingProfile(
+    return DoublingProfile(
         c_mu=float(c_mu),
         dimension=float(dim),
         certificate_ok=bool(worst_ratio <= 1.0 + 1e-9),
         worst_quadruple=worst_quad,
         worst_ratio=worst_ratio,
     )
-    cache["profile"] = profile
-    return profile
 
 
 # ---------------------------------------------------------------- JSON

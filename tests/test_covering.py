@@ -76,3 +76,13 @@ def test_empty_family():
     sp = line_space([0.0, 1.0])
     with pytest.raises(EmptyFamily):
         mj.five_cover(sp, [])
+
+
+def test_dilates_are_the_per_ball_five_dilates():
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        sp = random_space(rng, max_n=70, dim=int(rng.integers(1, 3)))
+        balls = mj.canonical_balls(sp)
+        picks = rng.choice(len(balls), size=min(len(balls), 20), replace=False)
+        cover = mj.five_cover(sp, [balls[i] for i in picks])
+        assert cover.dilates == tuple(mj.dilate(sp, b, 5.0) for b in cover.selected)

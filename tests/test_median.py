@@ -326,3 +326,40 @@ def test_function_loading():
         mj.SampleFunction.from_values(sp, [np.inf, 0.0])
     back = mj.SampleFunction.from_json(sp, f.to_json(sp))
     assert np.array_equal(back.values, f.values)
+
+
+def _old_weighted_maximal_median(values, weights, s):
+    """The former 1-D kernel of ``weighted_maximal_median``."""
+    order = np.argsort(values)
+    v = values[order]
+    w = weights[order]
+    total = w.sum()
+    tails = total - np.cumsum(w)  # mass strictly above each sorted position
+    j = int(np.argmax(tails < s * total))
+    return float(v[j])
+
+
+def test_weighted_maximal_median_matches_the_former_1d_kernel():
+    # Tied rows draw few values, signed zeros among them, and weights in
+    # tenths and thirds, so that ties of value and of mass both occur.
+    rng = np.random.default_rng(18)
+    levels = (0.5, 1.0, 0.25, 1 / 3, 0.1)
+    for trial in range(4000):
+        k = int(rng.integers(1, 200 if trial % 5 == 0 else 24))
+        if trial % 2:
+            values = rng.choice([-2.0, -0.0, 0.0, 1.0, 1.5], size=k)
+            weights = rng.choice([0.1, 0.2, 0.3, 1 / 3, 1.0], size=k)
+        else:
+            values = rng.normal(size=k)
+            weights = rng.uniform(0.1, 2.0, size=k)
+        s = levels[trial % len(levels)] if trial % 3 else float(rng.uniform(1e-3, 1.0))
+        got = mj.weighted_maximal_median(values, weights, s)
+        assert float.hex(got) == float.hex(_old_weighted_maximal_median(values, weights, s))
+
+
+def test_from_mapping_reports_missing_and_extra_ids():
+    sp = mj.grid_space(1, 3)
+    with pytest.raises(mj.errors.InvalidParameter, match=r"missing \['p2'\], extra \['q'\]"):
+        mj.SampleFunction.from_mapping(sp, {"p0": 1.0, "p1": 2.0, "q": 3.0})
+    f = mj.SampleFunction.from_mapping(sp, {"p2": 3.0, "p0": 1.0, "p1": 2.0})
+    assert f.values.tolist() == [1.0, 2.0, 3.0]

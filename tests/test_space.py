@@ -8,6 +8,7 @@ from medianjn import acceptance
 from medianjn.errors import (
     AsymmetricMetric,
     EmptyRegion,
+    EmptySet,
     InvalidParameter,
     NonPositiveDilation,
     NonPositiveRadius,
@@ -472,3 +473,39 @@ def test_size_blocks_cover_each_row_once_with_the_bits_of_mu():
             assert m.hex() == space.mu(flat[starts[r] : starts[r] + k]).hex()
         seen.extend(rows.tolist())
     assert sorted(seen) == np.flatnonzero(sizes).tolist()
+
+
+# Every entry point that takes a subset or a region, with the error class of
+# an empty one: the medians and oscillations of a set raise EmptySet, the
+# norms and the ball family of a region EmptyRegion.
+_SUBSET_ENTRY_POINTS = [
+    (lambda sp, f, r: mj.maximal_median(sp, f, r, 0.5), EmptySet),
+    (lambda sp, f, r: mj.is_s_median(sp, 0.0, f, r, 0.5), EmptySet),
+    (lambda sp, f, r: mj.median_oscillation(sp, f, r, 0.25), EmptySet),
+    (lambda sp, f, r: mj.integral_oscillation(sp, f, r, 1.0), EmptySet),
+    (lambda sp, f, r: mj.canonical_balls(sp, r), EmptyRegion),
+    (lambda sp, f, r: mj.bmo_median_norm(sp, f, r, 0.25), EmptyRegion),
+    (lambda sp, f, r: mj.jn_median_norm(sp, f, r, 2.0, 0.25), EmptyRegion),
+    (lambda sp, f, r: mj.lp_norm(sp, f, r, 2.0), EmptyRegion),
+    (lambda sp, f, r: mj.weak_lp_norm(sp, f, r, 2.0), EmptyRegion),
+]
+
+
+@pytest.mark.parametrize(
+    "call, empty_error",
+    _SUBSET_ENTRY_POINTS,
+    ids=["maximal_median", "is_s_median", "median_oscillation", "integral_oscillation",
+         "canonical_balls", "bmo_median_norm", "jn_median_norm", "lp_norm", "weak_lp_norm"],
+)
+def test_subset_entry_points_share_one_contract(call, empty_error):
+    sp = mj.grid_space(1, 4)
+    f = mj.SampleFunction.from_values(sp, [3.0, -1.0, 2.0, 5.0])
+    # A bool is neither a point id nor an index, whether Python's or numpy's.
+    for bad in (["zz"], ["p1", "zz"], [4], [-1], [True], [True, True], [np.True_], [1, False]):
+        with pytest.raises(UnknownCenter):
+            call(sp, f, bad)
+    for empty in ([], ()):
+        with pytest.raises(empty_error):
+            call(sp, f, empty)
+    by_index, by_id = call(sp, f, [2, np.int64(1)]), call(sp, f, ["p1", "p2"])
+    assert repr(by_index) == repr(by_id)
