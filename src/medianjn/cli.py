@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 
-from . import acceptance
 from .boman import (
     decomposition_from_json,
     global_jn_verify,
@@ -222,6 +221,8 @@ def _run(args) -> int:
         return 0
 
     if cmd == "verify-all":
+        from . import acceptance  # the one command that needs the acceptance suite
+
         criteria = None
         if args.criteria:
             criteria = [int(v) for v in args.criteria.split(",")]

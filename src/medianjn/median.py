@@ -15,28 +15,41 @@ two sample values whose complement has mass below s mu(B), attained at the
 window's midpoint (Rousseeuw's shorth, JASA 1984).
 
 One kernel, ``_shorth_rows``, evaluates this for a whole family of sets
-(every canonical ball of a region) with array operations, and returns
-for each set exactly the bits of the one-set computation:
+(every canonical ball of a region, or one set for ``median_oscillation``)
+with array operations, and returns for each set exactly the bits of the
+one-set computation:
 
-* Rows are sorted stably by value, so equal values keep index order and
-  ``bincount`` sums each distinct value's mass left to right, as it does
-  for one set; a row-wise cumsum gives the cumulative masses.
-* For every left end i, the first passing right end j is found by a
-  bisection on the strict-tail expression total - (cum[j] - below_i) <
-  s * total itself.  Float subtraction is monotone and the masses are
-  positive, so the expression is monotone in j and the bisection picks
-  the same j as a two-pointer scan would; the leftmost minimal width wins.
+* One stable argsort of all n values per call gives a global value order
+  and the id of each point's distinct value.  Taking a block's member
+  matrix in that column order lists each row's members by value, equal
+  values in index order, with no per-row sort.  A cell is a (row, distinct
+  value) pair; one ``bincount`` over the members sums each cell's mass in
+  index order, as the one-set computation does, and a row-wise cumsum over
+  the masses, left-aligned in a (rows, distinct values) table, gives the
+  cumulative masses.
+* The search runs only on live (row, left end) cells, not on padding: for
+  each left end i, a power-of-two descent finds the first right end j that
+  passes the strict-tail expression total - (cum[j] - below_i) < s * total
+  itself.  Float subtraction is monotone and the masses are positive, so
+  the expression is monotone in j and the descent picks the same j as a
+  two-pointer scan would; the leftmost minimal width wins.
 * mu(B) is ``weights[idx].sum()``: numpy sums a 1-D array pairwise, and a
   row sum of a C-contiguous 2-D array runs the same pairwise loop, while
   zero-padded rows or ``np.add.reduceat`` group the additions differently.
-  So totals are taken on one array per ball size.
+  So totals are taken on one slice of the block's index-order weights per
+  ball size; the lightest weight is one ``np.minimum.reduceat``.
 * Norm terms mu * osc**p are formed from Python floats: numpy's vectorised
   ``power`` can differ from ``**`` in the last bit.
 
-The sign of a zero center c is that of the lowest-index member holding
-the value.  Each set comes as a row of packed member words, as a ball
-family stores it, and rows are unpacked in index order in blocks of
-bounded padded size.
+The sign of a zero center c is that of the row's lowest-index member
+holding zero, which the global order does not carry by itself: a cell
+takes the value of its first member in the row.  Each set comes as a row
+of packed member words, as a ball family stores it.  Rows go in blocks by
+size whose float temporaries hold at most ``_BLOCK_ELEMS // 2`` elements
+(64 KiB) and whose member matrices at most ``_UNPACK_ELEMS`` bytes.  At
+twice that size the peak resident memory of a ``library`` benchmark round
+rose by about 0.6 MB, the allocator effect ``norms._dominated_rows``
+records for its tiles.
 """
 
 from __future__ import annotations
@@ -48,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, InvalidS
-from .space import _BLOCK_ELEMS, Space, _member_indices, _set_idx
+from .space import _BLOCK_ELEMS, _UNPACK_ELEMS, Space, _member_matrix, _pack_rows, _set_idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,8 +186,9 @@ def median_oscillation(space: Space, f, subset, s: float) -> tuple[float, float]
     idx, s = _set_idx(space, subset), float(s)
 
     def compute():
-        members, sizes = np.array(idx, dtype=np.intp), np.array([len(idx)])
-        osc, c, _ = _shorth_block(_as_values(space, f), space.weights, members, sizes, s)
+        row = np.zeros((1, space.n), dtype=bool)
+        row[0, idx] = True
+        osc, c, _ = _shorth_rows(_as_values(space, f), space.weights, _pack_rows(row), [len(idx)], s)
         return (float(osc[0]), float(c[0]))
 
     return _memo(space, f, ("osc", idx, s), compute)
@@ -184,108 +198,117 @@ def _shorth_rows(values: np.ndarray, weights: np.ndarray, words, sizes, s: float
     """Kernel: median oscillation, its center and the measure of many sets.
 
     Each set is a row of packed member ``words`` (a ball family's bit
-    layout) with its size in ``sizes``; a block's members are unpacked in
-    index order.  Returns three float arrays (osc, c, mu) in row order,
-    each entry equal to what the one-set computation gives: the leftmost
-    shortest window [u_i, u_j] of sorted distinct values whose outside
-    mass passes total - mu[u_i, u_j] < s * total, with c its midpoint;
-    (0, u) for a single value; the half-range at the midrange when
-    s * total <= min weight.
+    layout) with its size in ``sizes``.  Returns three float arrays (osc,
+    c, mu) in row order, each entry equal to what the one-set computation
+    gives: the leftmost shortest window [u_i, u_j] of sorted distinct
+    values whose outside mass passes total - mu[u_i, u_j] < s * total,
+    with c its midpoint; (0, u) for a single value; the half-range at the
+    midrange when s * total <= min weight.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
-    m = len(sizes)
+    m, n = len(sizes), len(values)
     osc, c, mu = np.empty(m), np.empty(m), np.empty(m)
-    # Blocks of rows by increasing size keep the padding small and every
-    # block's (rows x width) temporaries under _BLOCK_ELEMS.
+    # One stable order of all values: position q holds point order[q], and
+    # value_id[q] numbers the distinct values in increasing order.
+    order = np.argsort(values, kind="stable")
+    sorted_values, sorted_weights = values[order], weights[order]
+    value_id = np.zeros(n, dtype=np.intp)
+    np.cumsum(sorted_values[1:] != sorted_values[:-1], out=value_id[1:])
+    # Blocks of rows by increasing size: a block's member matrices stay
+    # under _UNPACK_ELEMS bytes, and its float temporaries (one entry per
+    # member, or per cell of the padded (rows x distinct values) table)
+    # under _BLOCK_ELEMS // 2 elements.
     by_size = np.argsort(sizes, kind="stable")
     ordered = sizes[by_size]
     a = 0
     while a < m:
-        b = m
-        while b - a > 1 and (b - a) * ordered[b - 1] > _BLOCK_ELEMS:
-            b = a + max(1, _BLOCK_ELEMS // int(ordered[b - 1]))
-        sel = by_size[a:b]
-        members = _member_indices(words[sel], len(values))
-        osc[sel], c[sel], mu[sel] = _shorth_block(values, weights, members, ordered[a:b], s)
+        b = min(m, a + max(1, _UNPACK_ELEMS // n))
+        while b - a > 1 and (b - a) * ordered[b - 1] > _BLOCK_ELEMS // 2:
+            b = a + max(1, _BLOCK_ELEMS // 2 // int(ordered[b - 1]))
+        sel, size, r = by_size[a:b], ordered[a:b], b - a
+        member = _member_matrix(words[sel], n)
+
+        # mu(B) is weights[idx].sum(): the row sum of a C-contiguous
+        # (rows, k) array runs the pairwise loop of the 1-D sum, so totals
+        # are taken on one slice of the index-order weights per size.
+        w = weights[np.flatnonzero(member) % n]
+        start = np.cumsum(size) - size
+        total = np.empty(r)
+        cuts = [0, *(np.flatnonzero(size[1:] != size[:-1]) + 1).tolist(), r]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            k, at = int(size[lo]), int(start[lo])
+            np.add.reduce(w[at : at + (hi - lo) * k].reshape(hi - lo, k), axis=1, out=total[lo:hi])
+        w_min = np.minimum.reduceat(w, start)
+        del w  # the dels keep few of the block's temporaries alive at once
+
+        # Members in value order, equal values in index order.  A cell is a
+        # (row, distinct value) pair; bincount adds each cell's weights in
+        # input order, as the one-set computation does, and u takes the
+        # value of the cell's lowest-index member, zero sign included.
+        row, q = np.divmod(np.flatnonzero(member[:, order]), n)
+        del member
+        key = row * n + value_id[q]
+        new = np.empty(len(key), dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        del key
+        mass = np.bincount(np.cumsum(new) - 1, weights=sorted_weights[q])
+        u = sorted_values[q[new]]
+        cell_row = row[new]
+        del row, q, new
+        n_distinct = np.bincount(cell_row, minlength=r)
+        first = np.zeros(r + 1, dtype=np.intp)
+        np.cumsum(n_distinct, out=first[1:])
+        width = int(n_distinct.max())
+        col = np.arange(len(u)) - first[cell_row]
+        # Each row's masses left-aligned in a (rows, width) table, so that a
+        # row-wise cumsum gives the one-set cumulative masses.
+        padded = cell_row * width + col
+        table = np.zeros(r * width)
+        table[padded] = mass
+        del mass
+        cum_table = np.cumsum(table.reshape(r, width), axis=1).ravel()
+        cum = cum_table[padded]
+        below = np.where(col > 0, cum_table[padded - 1], 0.0)
+        del col, cum_table
+
+        # First passing right end j of every left end i, by a power-of-two
+        # descent over [i, last] on the strict-tail test itself.  Float
+        # subtraction is monotone and the masses are positive, so the test
+        # is monotone in j and the descent finds the first j that passes.
+        # A probe past the row's last cell reads that cell, which passes iff
+        # some j does; otherwise the descent ends past it.
+        tot, thr = total[cell_row], (s * total)[cell_row]
+        last = first[1:][cell_row] - 1
+        del cell_row
+        j = np.arange(len(u))
+        step = 1 << (width.bit_length() - 1)
+        while step:
+            probe = j + (step - 1)
+            passes = tot - (cum.take(np.minimum(probe, last)) - below) < thr
+            j = np.where(passes, j, probe + 1)
+            step >>= 1
+        del tot, thr, cum, below, probe, passes
+        # A row where no window passes (s * total below the rounding gap
+        # between total and its summed masses) gets osc inf at its lowest value.
+        valid = j <= last
+        top = np.where(valid, u.take(j, mode="clip"), u)
+        mid = (u + top) / 2.0
+        spread = np.where(valid, np.maximum(np.abs(u - mid), np.abs(top - mid)), np.inf)
+        table.fill(np.inf)
+        table[padded] = spread
+        best = first[:-1] + table.reshape(r, width).argmin(axis=1)  # the leftmost shortest window
+        b_osc, b_c = spread[best], mid[best]
+
+        low, high = u[first[:-1]], u[first[1:] - 1]
+        # Below the lightest atom the s-median of |f - c| is its maximum for
+        # every c, so the infimum is the half-range at the midrange point.
+        light = s * total <= w_min
+        b_osc = np.where(light, (high - low) / 2.0, b_osc)
+        b_c = np.where(light, (low + high) / 2.0, b_c)
+        single = n_distinct == 1
+        osc[sel] = np.where(single, 0.0, b_osc)
+        c[sel] = np.where(single, low, b_c)
+        mu[sel] = total
         a = b
-    return osc, c, mu
-
-
-def _shorth_block(values, weights, members, sizes, s):
-    """``_shorth_rows`` on rows sorted by size, padded to the largest.
-
-    ``members`` concatenates the rows' member indices, each in index order.
-    """
-    r, k = len(sizes), int(sizes[-1])
-    rows = np.arange(r)
-    col = np.arange(k)
-    base = (rows * k)[:, None]  # flat offset of each row
-    pad = col >= sizes[:, None]
-    pts = np.zeros((r, k), dtype=np.intp)
-    pts[~pad] = members
-
-    # mu(B) and the lightest weight, one C-contiguous array per ball size:
-    # its row sums are the same pairwise sums as weights[idx].sum().
-    mu, w_min = np.empty(r), np.empty(r)
-    cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), r]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        part = weights[pts[lo:hi, : sizes[lo]]]
-        mu[lo:hi] = part.sum(axis=1)
-        w_min[lo:hi] = part.min(axis=1)
-
-    # Stable sort per row: padding (+inf, weight 0) goes last, and equal
-    # values keep index order, so bincount sums each value's mass in the
-    # same order as the one-set computation.
-    v = np.where(pad, np.inf, values[pts])
-    order = np.argsort(v, axis=1, kind="stable") + base
-    sv = v.ravel()[order]
-    sw = np.where(pad, 0.0, weights[pts]).ravel()[order]
-    del v, order, pts
-    step = sv[:, 1:] != sv[:, :-1]
-    group = np.zeros((r, k), dtype=np.intp)
-    np.cumsum(step, axis=1, out=group[:, 1:])
-    n_distinct = group[rows, sizes - 1] + 1
-    mass = np.bincount((group + base).ravel(), weights=sw.ravel(), minlength=r * k)
-    cum = np.cumsum(mass.reshape(r, k), axis=1)
-    below = np.zeros((r, k))
-    below[:, 1:] = cum[:, :-1]
-    # Distinct values left-aligned; the tail repeats the row minimum so the
-    # window arithmetic below stays finite there.
-    u = np.repeat(sv[:, :1], k, axis=1)
-    first = np.ones((r, k), dtype=bool)
-    first[:, 1:] = step
-    first &= ~pad
-    fr, fc = np.nonzero(first)
-    u[fr, group[fr, fc]] = sv[fr, fc]
-    del sv, sw, step, group, mass, first, fr, fc  # bounds the block's peak
-
-    # First passing right end of every left end i, by bisection over
-    # [i, n_distinct): the strict-tail test is monotone in j.
-    total = mu[:, None]
-    thr = (s * mu)[:, None]
-    lo = np.broadcast_to(col, (r, k)).copy()
-    hi = np.broadcast_to(n_distinct[:, None], (r, k)).copy()
-    for _ in range(k.bit_length()):
-        mid = (lo + hi) >> 1
-        ok = total - (cum.ravel()[np.minimum(mid, k - 1) + base] - below) < thr
-        active = lo < hi
-        np.copyto(hi, mid, where=active & ok)
-        np.copyto(lo, mid + 1, where=active & ~ok)
-    valid = lo < n_distinct[:, None]  # lo starts at i, so this also needs i < n_distinct
-    top = u.ravel()[np.minimum(lo, k - 1) + base]
-    mid_v = (u + top) / 2.0
-    width = np.where(valid, np.maximum(np.abs(u - mid_v), np.abs(top - mid_v)), np.inf)
-    best = width.argmin(axis=1)  # the leftmost shortest window
-    osc = width[rows, best]
-    c = mid_v[rows, best]
-
-    low, high = u[:, 0], u[rows, n_distinct - 1]
-    # Below the lightest atom the s-median of |f - c| is its maximum for
-    # every c, so the infimum is the half-range at the midrange point.
-    light = s * mu <= w_min
-    osc = np.where(light, (high - low) / 2.0, osc)
-    c = np.where(light, (low + high) / 2.0, c)
-    single = n_distinct == 1
-    osc = np.where(single, 0.0, osc)
-    c = np.where(single, low, c)
     return osc, c, mu

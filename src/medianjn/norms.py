@@ -467,7 +467,6 @@ def _packed_sup(space: Space, family: _BallFamily, terms, mode: str, force: bool
 
     m, n = len(order), space.n
     member_matrix = _member_matrix(words, n)
-    density = term_arr / member_matrix.dot(space.weights)
 
     best_total = greedy_total
     best_choice = list(greedy)
@@ -486,6 +485,7 @@ def _packed_sup(space: Space, family: _BallFamily, terms, mode: str, force: bool
             # priced[b, x] = w(x) density(b) for x in b, else 0.  Rounding is
             # monotone and weights are positive, so a column maximum is the
             # largest density through x times w(x), bit for bit.
+            density = term_arr / member_matrix.dot(space.weights)
             priced = np.multiply(member_matrix, density[:, None])
             priced *= space.weights
     del member_matrix  # the search reads ``priced`` and ``words`` only

@@ -18,7 +18,8 @@ a Ball, point ids or point indices) is resolved by ``_set_idx`` for the
 medians and oscillations of a set, which raises EmptySet when it is
 empty, and by ``_region_idx`` for the norms and ball families of a
 region, which raises EmptyRegion; both read ``_resolve_region``, where
-an unknown id, an index outside [0, n) or a bool raises UnknownCenter.
+a string raises InvalidParameter and an unknown id, an index outside
+[0, n) or a bool raises UnknownCenter.
 What a space derives once (its id table, distance order, ball families,
 doubling profile and each SampleFunction's results) is kept through
 ``Space._cached(key, compute)``; the one other reader of the cache is
@@ -383,13 +384,17 @@ def dilate(space: Space, ball: Ball, lam: float) -> Ball:
 def _resolve_region(space: Space, region) -> tuple[int, ...]:
     """Sorted distinct indices of a region: None, a Ball, point ids or indices.
 
-    Raises UnknownCenter for an unknown id, an index outside [0, n) or a
-    bool entry (Python or numpy), which is neither an id nor an index.
+    Raises InvalidParameter for a string, which would otherwise be read as
+    its characters, and UnknownCenter for an unknown id, an index outside
+    [0, n) or a bool entry (Python or numpy), which is neither an id nor an
+    index.
     """
     if region is None:
         return tuple(range(space.n))
     if isinstance(region, Ball):
         return region.idx
+    if isinstance(region, (str, bytes)):
+        raise InvalidParameter(f"a region is a collection of points, not the string {region!r}")
     items = list(region)
     if items and all(isinstance(p, (int, np.integer)) and not isinstance(p, bool) for p in items):
         idx = {int(p) for p in items}
@@ -458,7 +463,7 @@ def _member_indices(words: np.ndarray, n: int) -> np.ndarray:
     """Member indices of packed rows, row after row, each row in index order."""
     step = max(1, _UNPACK_ELEMS // n)
     parts = [
-        np.nonzero(_member_matrix(words[a : a + step], n))[1] for a in range(0, len(words), step)
+        np.flatnonzero(_member_matrix(words[a : a + step], n)) % n for a in range(0, len(words), step)
     ]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
 

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 import medianjn as mj
 from medianjn.errors import EmptySet, InvalidS
+from medianjn import acceptance
 from medianjn.median import _shorth_rows
+from medianjn.space import _member_indices
 
-from util import fn, line_space, packed, random_space, two_point_space
+from util import family_of, fn, line_space, packed, random_space, two_point_space
 
 
 def test_indicator_half_median():
@@ -243,13 +245,128 @@ def _old_oscillation(values, weights, idx, s):
     return _old_shortest_window(u, np.bincount(inverse, weights=w), float(w.sum()), s)
 
 
+def _former_shorth_rows(values, weights, words, sizes, s):
+    """The former padded kernel: a stable sort per row, bisection over every cell."""
+    block_elems = 1 << 14
+    sizes = np.asarray(sizes, dtype=np.intp)
+    m = len(sizes)
+    osc, c, mu = np.empty(m), np.empty(m), np.empty(m)
+    by_size = np.argsort(sizes, kind="stable")
+    ordered = sizes[by_size]
+    a = 0
+    while a < m:
+        b = m
+        while b - a > 1 and (b - a) * ordered[b - 1] > block_elems:
+            b = a + max(1, block_elems // int(ordered[b - 1]))
+        sel = by_size[a:b]
+        members = _member_indices(words[sel], len(values))
+        osc[sel], c[sel], mu[sel] = _former_shorth_block(values, weights, members, ordered[a:b], s)
+        a = b
+    return osc, c, mu
+
+
+def _former_shorth_block(values, weights, members, sizes, s):
+    r, k = len(sizes), int(sizes[-1])
+    rows = np.arange(r)
+    col = np.arange(k)
+    base = (rows * k)[:, None]
+    pad = col >= sizes[:, None]
+    pts = np.zeros((r, k), dtype=np.intp)
+    pts[~pad] = members
+    mu, w_min = np.empty(r), np.empty(r)
+    cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), r]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        part = weights[pts[lo:hi, : sizes[lo]]]
+        mu[lo:hi] = part.sum(axis=1)
+        w_min[lo:hi] = part.min(axis=1)
+    v = np.where(pad, np.inf, values[pts])
+    order = np.argsort(v, axis=1, kind="stable") + base
+    sv = v.ravel()[order]
+    sw = np.where(pad, 0.0, weights[pts]).ravel()[order]
+    step = sv[:, 1:] != sv[:, :-1]
+    group = np.zeros((r, k), dtype=np.intp)
+    np.cumsum(step, axis=1, out=group[:, 1:])
+    n_distinct = group[rows, sizes - 1] + 1
+    mass = np.bincount((group + base).ravel(), weights=sw.ravel(), minlength=r * k)
+    cum = np.cumsum(mass.reshape(r, k), axis=1)
+    below = np.zeros((r, k))
+    below[:, 1:] = cum[:, :-1]
+    u = np.repeat(sv[:, :1], k, axis=1)
+    first = np.ones((r, k), dtype=bool)
+    first[:, 1:] = step
+    first &= ~pad
+    fr, fc = np.nonzero(first)
+    u[fr, group[fr, fc]] = sv[fr, fc]
+    total = mu[:, None]
+    thr = (s * mu)[:, None]
+    lo = np.broadcast_to(col, (r, k)).copy()
+    hi = np.broadcast_to(n_distinct[:, None], (r, k)).copy()
+    for _ in range(k.bit_length()):
+        mid = (lo + hi) >> 1
+        ok = total - (cum.ravel()[np.minimum(mid, k - 1) + base] - below) < thr
+        active = lo < hi
+        np.copyto(hi, mid, where=active & ok)
+        np.copyto(lo, mid + 1, where=active & ~ok)
+    valid = lo < n_distinct[:, None]
+    top = u.ravel()[np.minimum(lo, k - 1) + base]
+    mid_v = (u + top) / 2.0
+    width = np.where(valid, np.maximum(np.abs(u - mid_v), np.abs(top - mid_v)), np.inf)
+    best = width.argmin(axis=1)
+    osc = width[rows, best]
+    c = mid_v[rows, best]
+    low, high = u[:, 0], u[rows, n_distinct - 1]
+    light = s * mu <= w_min
+    osc = np.where(light, (high - low) / 2.0, osc)
+    c = np.where(light, (low + high) / 2.0, c)
+    single = n_distinct == 1
+    osc = np.where(single, 0.0, osc)
+    c = np.where(single, low, c)
+    return osc, c, mu
+
+
+def _hex(arr):
+    return [float(x).hex() for x in arr]
+
+
+def _assert_matches_former_kernel(values, weights, words, sizes, s, context):
+    """The kernel, on the whole family and on single rows, against the former kernel in hex.
+
+    Hex tells the two signed zeros apart, which == does not.  Returns the
+    family result.
+    """
+    got = _shorth_rows(values, weights, words, sizes, s)
+    want = _former_shorth_rows(values, weights, words, sizes, s)
+    for name, g, w in zip(("osc", "c", "mu"), got, want):
+        assert _hex(g) == _hex(w), (context, name)
+    for b in {0, len(sizes) // 2, len(sizes) - 1}:
+        one = _shorth_rows(values, weights, words[b : b + 1], [sizes[b]], s)
+        assert [_hex(x)[0] for x in one] == [_hex(x)[b] for x in want], (context, b)
+    return got
+
+
+def _kernel_values(rng, kind, n):
+    """Generic values, ties (integers, tenths, thirds), both signed zeros, or one constant."""
+    return [
+        rng.normal(size=n),
+        rng.integers(0, 4, size=n).astype(float),
+        np.round(rng.normal(size=n), 1),
+        np.round(rng.uniform(-3.0, 3.0, size=n) * 3.0) / 3.0,
+        np.where(rng.random(n) < 0.4, np.where(rng.random(n) < 0.5, -0.0, 0.0),
+                 rng.integers(-1, 2, size=n).astype(float)),
+        np.full(n, float(rng.normal())),
+    ][kind]
+
+
 def test_batched_kernel_matches_per_ball_path():
     # Per ball: osc, mu(B) and mu * osc**p as float hex, c under == (the
-    # sign of a zero c followed numpy's unstable sort before; now it is the
-    # sign of the lowest-index member).  Families: canonical balls of random
-    # spaces and random rows of sizes around the pairwise-sum block edges 8
-    # and 128; values with ties (integers, tenths, thirds), with both signed
-    # zeros, and constant rows; s = 1 and s below the lightest atom.
+    # sign of a zero c followed numpy's unstable sort in the per-ball path;
+    # the kernel takes the sign of the lowest-index member).  Every call is
+    # also checked in hex, c's zero sign included, against the former padded
+    # kernel, on the family and on one-row calls.  Families: canonical
+    # balls of random spaces and random rows of sizes around the
+    # pairwise-sum block edges 8 and 128; values with ties (integers,
+    # tenths, thirds), with both signed zeros, and constant rows; s = 1 and
+    # s below the lightest atom.
     rng = np.random.default_rng(43)
     checked = 0
     for trial in range(180):
@@ -277,18 +394,10 @@ def test_batched_kernel_matches_per_ball_path():
                     for _ in range(200)]
             weights = [rng.integers(1, 10, size=n) / 10.0, rng.integers(1, 4, size=n) / 3.0][trial % 2]
             kind = 1
-        values = [
-            rng.normal(size=n),
-            rng.integers(0, 4, size=n).astype(float),
-            np.round(rng.normal(size=n), 1),
-            np.round(rng.uniform(-3.0, 3.0, size=n) * 3.0) / 3.0,
-            np.where(rng.random(n) < 0.4, np.where(rng.random(n) < 0.5, -0.0, 0.0),
-                     rng.integers(-1, 2, size=n).astype(float)),
-            np.full(n, float(rng.normal())),
-        ][kind]
+        values = _kernel_values(rng, kind, n)
         s = float(rng.choice([1.0, 0.5, 0.3, 0.25, 0.2, 0.1, 1e-3, rng.uniform(0.01, 1.0)]))
         p = float(rng.choice([1.5, 2.0, 3.0]))
-        osc, c, mu = _shorth_rows(values, weights, *packed(rows, n), s)
+        osc, c, mu = _assert_matches_former_kernel(values, weights, *packed(rows, n), s, trial)
         for b, idx in enumerate(rows):
             old_osc, old_c = _old_oscillation(values, weights, idx, s)
             old_mu = float(weights[list(idx)].sum())
@@ -299,6 +408,29 @@ def test_batched_kernel_matches_per_ball_path():
             assert term.hex() == (old_mu * old_osc**p).hex(), (trial, b)
             checked += 1
     assert checked > 15000
+
+
+def test_kernel_matches_the_former_kernel_on_larger_spaces():
+    # Canonical families of spaces of 65-130 points, whose member rows take
+    # two or three 64-bit words, against the former padded kernel in hex;
+    # s = 1, s = 1/4 and an s with s * mu(B) below every ball's lightest
+    # atom.  The last kind of values is zeros of both signs only, so every
+    # ball is a single value and its c is the sign of its lowest-index point.
+    rng = np.random.default_rng(19)
+    checked = 0
+    for trial in range(14):
+        sp = acceptance.random_space(rng, min_n=65, max_n=130, dim=1 + trial % 2,
+                                     weight_lo=[0.2, 1.0][trial % 2], weight_hi=2.0)
+        family = family_of(sp)
+        if trial % 7 < 6:
+            values = _kernel_values(rng, trial % 7, sp.n)
+        else:
+            values = np.where(rng.random(sp.n) < 0.5, -0.0, 0.0)
+        light = 0.5 * float(sp.weights.min() / sp.weights.sum())
+        for s in (1.0, 0.25, light):
+            _assert_matches_former_kernel(values, sp.weights, family.words, family.sizes, s, trial)
+            checked += len(family)
+    assert checked > 50000
 
 
 def test_non_finite_raw_values_rejected():

@@ -504,6 +504,10 @@ def test_subset_entry_points_share_one_contract(call, empty_error):
     for bad in (["zz"], ["p1", "zz"], [4], [-1], [True], [True, True], [np.True_], [1, False]):
         with pytest.raises(UnknownCenter):
             call(sp, f, bad)
+    # A string is not read as its characters, whether they name points or not.
+    for bad in ("p1", "p1p2", "", b"\x01"):
+        with pytest.raises(InvalidParameter, match="not the string"):
+            call(sp, f, bad)
     for empty in ([], ()):
         with pytest.raises(empty_error):
             call(sp, f, empty)
