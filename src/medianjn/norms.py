@@ -21,17 +21,28 @@ Admissible upper bounds prune the search:
   over the remaining rows is w(x) times the best density, bit for bit,
   and the bound is one row gather, one column maximum and one sum.
 
+A node's loop excludes its candidates one by one, and each step bounds
+the candidates left.  The node prices every step at once: one reverse
+pass over its rows gives the density bound of every suffix and, for
+each include child, a bound at least the child's own, so a child that
+would stop at its first bound is never built; the sum bound of every
+suffix is one reverse cumulative sum, a filter for the pairwise sum.
+
 An interval instance is one where every candidate is a run of consecutive
 points in one point order, the stable distance order from a point farthest
 from point 0 (on a line, the coordinate order).  Two runs are disjoint
 exactly when their rank spans are, so the packing problem is weighted
 interval scheduling: a dynamic program over the candidates by right end
-solves it in O(m) per node.  The data is built only when the root survives
-the sum bound, so a search over pairwise disjoint candidates pays nothing.
+solves it in O(m).  A node runs it once, from the left and from the
+right; an exclude step reruns the left table only when it drops a row of
+the packing that attains the optimum, and an include child is bounded by
+the best packing left of its ball plus the best right of it.  The data is
+built only when the root survives the sum bound, so a search over
+pairwise disjoint candidates pays nothing.
 
-The bound is applied to totals, with a margin for rounding.  The search
-adds a packing's terms in include order, the dynamic program in its own,
-and k positive terms summed in any order land within a factor
+The interval bound is applied to totals, with a margin for rounding.  The
+search adds a packing's terms in include order, the dynamic program in
+its own, and k positive terms summed in any order land within a factor
 (1 +- 2^-53)^k of their exact sum.  A packing has at most n balls, so
 (current + remaining optimum) * (1 + 4n 2^-52) is at least the float
 total of every packing below the node, and the node is pruned when that
@@ -152,11 +163,15 @@ class JNResult:
 def _check_p(p: float) -> None:
     if not p > 0.0:
         raise InvalidParameter(f"p must be positive, got {p}")
+    if p == math.inf:
+        raise InvalidParameter(f"p must be finite, got {p}")
 
 
 def _check_p_exceeds_1(p: float) -> None:
     if not p > 1.0:
         raise InvalidParameter(f"p must exceed 1, got {p}")
+    if p == math.inf:
+        raise InvalidParameter(f"p must be finite, got {p}")
 
 
 def _check_s_up_to_half(s: float) -> None:
@@ -167,6 +182,8 @@ def _check_s_up_to_half(s: float) -> None:
 def _check_q(q: float) -> None:
     if not q > 0.0:
         raise NonPositiveQ(f"q must be positive, got {q}")
+    if q == math.inf:
+        raise NonPositiveQ(f"q must be finite, got {q}")
 
 
 def lp_norm(space: Space, f, region, p: float) -> float:
@@ -358,13 +375,13 @@ def bmo_median_norm(space: Space, f, region, s: float) -> float:
 # ---------------------------------------------------------------- packing
 
 
-def _interval_rows(space: Space, member_matrix: np.ndarray, term_arr: np.ndarray):
+def _interval_rows(space: Space, member_matrix: np.ndarray):
     """Candidates as rank intervals in one point order, or None if one is not a run.
 
     The order is the stable distance order from a point farthest from
     point 0: the coordinate order on a line.  Member rows are viewed in
-    that order in blocks of at most ``_BLOCK_ELEMS`` elements.  Returns a
-    (lo, hi, term) tuple per candidate row and the rows by increasing hi.
+    that order in blocks of at most ``_BLOCK_ELEMS`` elements.  Returns
+    the (lo, hi) rank arrays of the runs.
     """
     m, n = member_matrix.shape
     point_order = _distance_order(space)[int(space.dist[0].argmax())]
@@ -376,21 +393,96 @@ def _interval_rows(space: Space, member_matrix: np.ndarray, term_arr: np.ndarray
         hi[a : a + step] = n - 1 - ranked[:, ::-1].argmax(axis=1)
         if not np.array_equal(hi[a : a + step] - lo[a : a + step] + 1, ranked.sum(axis=1)):
             return None
-    spans = list(zip(lo.tolist(), hi.tolist(), term_arr.tolist()))
-    return spans, np.argsort(hi, kind="stable")
+    return lo, hi
 
 
-def _interval_optimum(spans, rows: np.ndarray) -> float:
-    """Weighted-interval-scheduling optimum over ``rows``, listed by increasing hi."""
-    # before[x]: the optimum over the rows seen so far that end below rank x.
-    before, reach = [], 0.0
-    for lo, hi, term in map(spans.__getitem__, rows.tolist()):
-        while len(before) <= hi:
-            before.append(reach)
-        total = before[lo] + term
+def _interval_table(spans, rows: np.ndarray, n: int):
+    """Weighted-interval-scheduling table over ``rows``, listed by increasing hi.
+
+    ``spans`` is three lists (lo, hi, term) indexed by row.  Returns (table,
+    witness): table[x], for x = 0..n, is the optimum over the rows that end
+    below rank x, so table[n] is the optimum over all of them, and
+    ``witness`` is the set of rows of a packing that attains it.  Float
+    addition is monotone, so the running maximum of table[lo] + term is the
+    largest position-order float sum over the packings of those rows: a
+    function of the row set alone.  Dropping a row outside the witness
+    therefore leaves table[n] as it is, bit for bit.
+    """
+    # table[:filled] is final; ends[x] is the last row of the packing that
+    # gives table[x].
+    los, his, terms = spans
+    table, ends, link = [0.0] * (n + 1), [-1] * (n + 1), {}
+    reach, top, filled = 0.0, -1, 0
+    for r in rows.tolist():
+        lo, hi = los[r], his[r]
+        while filled <= hi:
+            table[filled] = reach
+            ends[filled] = top
+            filled += 1
+        total = table[lo] + terms[r]
         if total > reach:
-            reach = total
-    return reach
+            reach, top = total, r
+            link[r] = ends[lo]
+    table[filled:] = [reach] * (n + 1 - filled)
+    witness = set()
+    while top >= 0:
+        witness.add(top)
+        top = link[top]
+    return table, witness
+
+
+def _density_bound(priced: np.ndarray, rem: np.ndarray) -> float:
+    """Sum over points of the column maximum of the ``rem`` rows of ``priced``.
+
+    Remaining rows miss every chosen point, so no free-point mask.  Rows
+    are gathered in blocks of at most ``_BLOCK_ELEMS`` elements; the
+    ufuncs' own reduce is the array method without its wrapper.
+    """
+    step = max(1, _BLOCK_ELEMS // priced.shape[1])
+    per_point = np.maximum.reduce(priced[rem[:step]])
+    for a in range(step, len(rem), step):
+        np.maximum(per_point, np.maximum.reduce(priced[rem[a : a + step]]), out=per_point)
+    return float(np.add.reduce(per_point))
+
+
+def _suffix_bounds(priced: np.ndarray, rem: np.ndarray) -> np.ndarray:
+    """Density bounds of every suffix of ``rem`` and of every include child.
+
+    Returns a (2, len(rem)) float array (bound, pre).  bound[i] is
+    ``_density_bound(priced, rem[i:])`` bit for bit: the column maximum
+    S_i of the rows rem[i:], summed as one C-contiguous row of length n.
+    pre[i] is the sum of S_(i+1) with the points of row rem[i] set to 0.
+    The rows of the child that includes rem[i] lie in rem[i + 1:] and miss
+    those points, so its column maximum is at most that row entry by
+    entry; rounding is monotone and the pairwise sum of one length adds
+    in one fixed order, so pre[i] is at least the child's density bound.
+    A zero price marks a point outside the row, which only raises pre[i].
+    Rows go from the last one back in blocks of at most
+    ``_BLOCK_ELEMS // 2`` elements, 64 KiB, through one gather buffer:
+    every array here is allocated once per call, since small arrays freed
+    in numbers stay resident in numpy's allocation cache.
+    """
+    k, n = len(rem), priced.shape[1]
+    bound, pre = bounds = np.empty((2, k))
+    step = min(k, max(1, _BLOCK_ELEMS // 2 // n))
+    # run[0] holds S of the row after the block; row r + 1 of a block is
+    # rem[b - 1 - r].  Mode "clip" (the indices are valid) gathers straight
+    # into ``run``, where "raise" would buffer.
+    run = np.zeros((step + 1, n))
+    inside = np.empty((step, n), dtype=bool)
+    for b in range(k, 0, -step):
+        a = max(0, b - step)
+        rows = b - a
+        np.take(priced, rem[a:b][::-1], axis=0, out=run[1 : rows + 1], mode="clip")
+        np.greater(run[1 : rows + 1], 0.0, out=inside[:rows])
+        # Now run[r + 1] is S of row rem[b - 1 - r], and run[r] S of the row after it.
+        np.maximum.accumulate(run[: rows + 1], axis=0, out=run[: rows + 1])
+        np.add.reduce(run[1 : rows + 1], axis=1, out=bound[a:b][::-1])
+        last = run[rows].copy()
+        np.putmask(run[:rows], inside[:rows], 0.0)
+        np.add.reduce(run[:rows], axis=1, out=pre[a:b][::-1])
+        run[0] = last
+    return bounds
 
 
 def _dominated_rows(words: np.ndarray, sizes: np.ndarray, term_arr: np.ndarray, slack: float):
@@ -424,6 +516,23 @@ def _packed_sup(space: Space, family: _BallFamily, terms, mode: str, force: bool
     rows, which come in (center index, radius) order: a stable sort by
     decreasing term then breaks ties by center and radius.  Zero-term
     balls never help and are dropped up front.
+
+    A search node holds the candidates left, rem, in term order; step i of
+    its loop includes rem[i] (the only recursion) and then excludes it.
+    Each step first bounds the candidates rem[i:] against the best total
+    so far, and the node does that bound work once for all its steps:
+
+    * sum bound: the sequential sums of one reverse ``cumsum`` decide
+      unless they lie within a rounding margin of the slack, and only then
+      is the pairwise sum of rem[i:] formed, so every decision is that of
+      ``np.add.reduce`` over the suffix;
+    * density bound: ``_suffix_bounds``, once the node survives its entry
+      bound; a child whose pre-bound is at most its slack would stop at its
+      first bound without a better total, so it is skipped;
+    * interval bound: ``_interval_table`` from the left and from the right;
+      the left table is rebuilt only when a step drops a row of its
+      witness, and a child is skipped when the left table before its ball
+      plus the right table after it prunes it by the interval rule.
     """
     all_terms = np.asarray(terms, dtype=float)
     live = np.flatnonzero(all_terms > 0.0)
@@ -474,12 +583,12 @@ def _packed_sup(space: Space, family: _BallFamily, terms, mode: str, force: bool
     # Interval data, dominance and the priced rows only when the root
     # survives the sum bound; interval instances prune by the interval
     # bound alone.
-    intervals = priced = None
+    runs = priced = None
     start = np.arange(m)
     term_sum = float(term_arr.sum())
     if term_sum > best_total:
-        intervals = _interval_rows(space, member_matrix, term_arr)
-        if intervals is None:
+        runs = _interval_rows(space, member_matrix)
+        if runs is None:
             sizes = family.sizes[order]
             start = np.flatnonzero(~_dominated_rows(words, sizes, term_arr, margin * term_sum))
             # priced[b, x] = w(x) density(b) for x in b, else 0.  Rounding is
@@ -488,52 +597,83 @@ def _packed_sup(space: Space, family: _BallFamily, terms, mode: str, force: bool
             density = term_arr / member_matrix.dot(space.weights)
             priced = np.multiply(member_matrix, density[:, None])
             priced *= space.weights
+        else:
+            lo, hi = runs
+            term_list = term_arr.tolist()
+            spans = (lo.tolist(), hi.tolist(), term_list)
+            by_end = np.argsort(hi, kind="stable")
+            # The same runs in the reversed point order: its left table is
+            # the table of the packings right of each rank.
+            mirrored = ((n - 1 - hi).tolist(), (n - 1 - lo).tolist(), term_list)
+            by_start = np.argsort(-lo, kind="stable")
     del member_matrix  # the search reads ``priced`` and ``words`` only
     floor = None
-    step = max(1, _BLOCK_ELEMS // n)
-
-    def interval_pruned(rem, current):
-        nonlocal floor
-        spans, by_end = intervals
-        alive = np.zeros(m, dtype=bool)
-        alive[rem] = True
-        reach = _interval_optimum(spans, by_end[alive[by_end]])
-        if floor is None:
-            # The first call is at the root, which this never prunes.
-            floor = reach * (1.0 - margin)
-        return (current + reach) * (1.0 + margin) <= max(best_total, floor)
-
-    def density_bound(rem):
-        # Remaining rows miss every chosen point, so no free-point mask.
-        # Rows are gathered in blocks of at most _BLOCK_ELEMS elements; the
-        # ufuncs' own reduce is the array method without its wrapper.
-        per_point = np.maximum.reduce(priced[rem[:step]])
-        for a in range(step, len(rem), step):
-            np.maximum(per_point, np.maximum.reduce(priced[rem[a : a + step]]), out=per_point)
-        return float(np.add.reduce(per_point))
 
     def dfs(rem, current, chosen):
         # Only the include branch recurses, so the depth is bounded by the
-        # packing size; excluding rem[0] continues this loop instead.
-        nonlocal best_total, best_choice
+        # packing size; excluding rem[i] continues this loop instead.
+        nonlocal best_total, best_choice, floor
         if current > best_total:
             best_total = current
             best_choice = list(chosen)
-        while len(rem):
-            slack = best_total - current
-            if float(np.add.reduce(term_arr[rem])) <= slack:
+        if not len(rem):
+            return
+        sums = term_arr[rem]
+        if float(np.add.reduce(sums)) <= best_total - current:
+            return
+        if runs is None:
+            if _density_bound(priced, rem) <= best_total - current:
                 return
-            if intervals is not None:
-                if interval_pruned(rem, current):
+            bound, pre = _suffix_bounds(priced, rem)
+        else:
+            alive = np.zeros(m, dtype=bool)
+            alive[rem] = True
+            left, witness = _interval_table(spans, by_end[alive[by_end]], n)
+            if floor is None:
+                # The first table is the root's, which this never prunes.
+                floor = left[n] * (1.0 - margin)
+            if (current + left[n]) * (1.0 + margin) <= max(best_total, floor):
+                return
+            right, _ = _interval_table(mirrored, by_start[alive[by_start]], n)
+        # Sequential and pairwise sums of k positive terms both lie within
+        # (k - 1) 2^-53 of the exact sum, so outside this relative margin
+        # the sequential suffix sum decides as the pairwise one would.
+        np.cumsum(sums[::-1], out=sums[::-1])
+        tol = len(rem) * 2.0**-50
+        for i in range(len(rem)):
+            j = rem[i]
+            if i:
+                # Step 0's bounds are the entry checks above.
+                slack = best_total - current
+                s = float(sums[i])
+                if s * (1.0 - tol) <= slack and (
+                    s * (1.0 + tol) <= slack or float(np.add.reduce(term_arr[rem[i:]])) <= slack
+                ):
                     return
-            elif density_bound(rem) <= slack:
-                return
-            j = rem[0]
-            tail = rem[1:]
+                if runs is None:
+                    if bound[i] <= slack:
+                        return
+                else:
+                    if int(rem[i - 1]) in witness:
+                        alive[rem[:i]] = False
+                        left, witness = _interval_table(spans, by_end[alive[by_end]], n)
+                    if (current + left[n]) * (1.0 + margin) <= max(best_total, floor):
+                        return
+            child = current + float(term_arr[j])
+            # Skip a child that cannot change the result.  Density: pre >= 0,
+            # so the child would not beat the best total and would stop at
+            # its first bound.  Interval: the interval rule rules out every
+            # packing under a child that does not beat the best total itself.
+            if runs is None:
+                if pre[i] <= best_total - child:
+                    continue
+            else:
+                ahead = left[spans[0][j]] + right[n - 1 - spans[1][j]]
+                if child <= best_total and (child + ahead) * (1.0 + margin) <= max(best_total, floor):
+                    continue
             chosen.append(j)
-            dfs(clear_of(j, tail), current + float(term_arr[j]), chosen)
+            dfs(clear_of(j, rem[i + 1 :]), child, chosen)
             chosen.pop()
-            rem = tail
 
     dfs(start, 0.0, [])
     # dfs refers to itself; drop it so that its closure, arrays included, is

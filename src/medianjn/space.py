@@ -255,6 +255,9 @@ def build_space(point_ids, weights, *, coords=None, distances=None) -> Space:
     rejected otherwise; the triangle inequality is checked up to
     1e-9 * (max distance).
 
+    Coordinates, distances and the total measure must be finite; they are
+    checked before any n x n work.
+
     Raises NonPositiveWeight, AsymmetricMetric, TriangleViolation,
     InvalidParameter.
     """
@@ -269,6 +272,9 @@ def build_space(point_ids, weights, *, coords=None, distances=None) -> Space:
     for pid, wi in zip(ids, w):
         if not (wi > 0.0) or not math.isfinite(wi):
             raise NonPositiveWeight(f"weight of {pid!r} is {wi}")
+    with np.errstate(over="ignore"):
+        if not math.isfinite(float(w.sum())):
+            raise InvalidParameter("the total measure must be finite")
 
     if (coords is None) == (distances is None):
         raise InvalidParameter("give exactly one of coords or distances")
@@ -280,11 +286,18 @@ def build_space(point_ids, weights, *, coords=None, distances=None) -> Space:
             c_arr = c_arr[:, None]
         if c_arr.shape[0] != len(ids):
             raise InvalidParameter("coords must match the number of points")
-        dist = _euclidean(c_arr)
+        if not np.isfinite(c_arr).all():
+            raise InvalidParameter("coordinates must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = _euclidean(c_arr)
+        if not math.isfinite(float(dist.max(initial=0.0))):
+            raise InvalidParameter("coordinates too far apart: a distance overflows")
     else:
         dist = np.asarray(distances, dtype=float)
         if dist.shape != (len(ids), len(ids)):
             raise InvalidParameter("distance matrix must be square")
+        if not np.isfinite(dist).all():
+            raise InvalidParameter("distances must be finite")
         diag = np.abs(np.diag(dist))
         if diag.max(initial=0.0) > 1e-12:
             raise InvalidParameter("distance matrix diagonal must be zero")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -288,3 +289,28 @@ def test_five_cover_malformed_balls_exit_2(tmp_path, capsys, balls):
     assert main(["five-cover", "--space", str(space_path), "--balls", str(balls_path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and not captured.out
+
+
+def test_infinite_p_exits_2_with_one_line(tmp_path, capsys):
+    # p = inf passed the "p > 1" check: 1 (greedy mode, 0 balls) and exit 0.
+    g = mj.grid_space(1, 6)
+    space_path, fn_path = tmp_path / "line6.json", tmp_path / "f.json"
+    space_path.write_text(json.dumps(mj.space_to_json(g)))
+    fn_path.write_text(json.dumps(mj.SampleFunction.from_values(g, range(6)).to_json(g)))
+    argv = ["jn-median", "--space", str(space_path), "--function", str(fn_path), "--s", "0.25"]
+    assert main([*argv, "--p", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: p must be finite, got inf\n" and not captured.out
+    assert main([*argv, "--p", "2"]) == 0
+
+
+def test_doubling_on_a_nan_coordinate_exits_2(tmp_path, capsys):
+    # A NaN coordinate reached an UnboundLocalError traceback and exit 1.
+    payload = mj.space_to_json(mj.grid_space(1, 6))
+    payload["points"][2]["coords"] = [math.nan]
+    space_path = tmp_path / "nan.json"
+    space_path.write_text(json.dumps(payload))
+    assert "NaN" in space_path.read_text()
+    assert main(["doubling", "--space", str(space_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: coordinates must be finite\n" and not captured.out

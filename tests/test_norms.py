@@ -11,7 +11,13 @@ import pytest
 import medianjn as mj
 from medianjn import acceptance, norms
 from medianjn import space as space_module
-from medianjn.errors import EmptyRegion, ExactModeTooLarge, InvalidS, NonPositiveQ
+from medianjn.errors import (
+    EmptyRegion,
+    ExactModeTooLarge,
+    InvalidParameter,
+    InvalidS,
+    NonPositiveQ,
+)
 
 from util import family_of, fn, line_space, packed, random_space, two_point_space
 
@@ -40,6 +46,36 @@ def test_weak_lp_constant_identity():
         p = float(rng.uniform(1.0, 4.0))
         got = mj.weak_lp_norm(sp, fn(sp, np.full(sp.n, c)), None, p)
         assert got == pytest.approx(abs(c) * sp.total_measure ** (1.0 / p), rel=1e-12)
+
+
+def test_exponents_must_be_finite():
+    # p = inf passed "p > 1": jn_median_norm returned 1.0 with 0 balls (the
+    # BMO of these values is 2.0) and lp_norm returned 1.0.
+    g = mj.grid_space(1, 6)
+    f = fn(g, np.arange(6.0))
+    cases = [
+        (InvalidParameter, "p must be finite, got inf", [
+            lambda: mj.jn_median_norm(g, f, None, math.inf, 0.25),
+            lambda: mj.jn_integral_norm(g, f, None, math.inf, 1.0),
+            lambda: mj.lp_norm(g, f, None, math.inf),
+            lambda: mj.weak_lp_norm(g, f, None, math.inf),
+        ]),
+        (InvalidParameter, "p must be positive, got -inf", [
+            lambda: mj.lp_norm(g, f, None, -math.inf),
+        ]),
+        (NonPositiveQ, "q must be finite, got inf", [
+            lambda: mj.integral_oscillation(g, f, None, math.inf),
+            lambda: mj.jn_integral_norm(g, f, None, 2.0, math.inf),
+        ]),
+        (NonPositiveQ, "q must be positive, got -inf", [
+            lambda: mj.integral_oscillation(g, f, None, -math.inf),
+        ]),
+    ]
+    for error, message, calls in cases:
+        for call in calls:
+            with pytest.raises(error) as info:
+                call()
+            assert str(info.value) == message
 
 
 def test_integral_oscillation_examples():
@@ -591,10 +627,8 @@ def _interval_instances():
 
 def test_exact_packing_matches_interval_scheduling_on_lines(monkeypatch):
     calls = []
-    optimum = norms._interval_optimum
-    monkeypatch.setattr(
-        norms, "_interval_optimum", lambda *args: calls.append(1) or optimum(*args)
-    )
+    table = norms._interval_table
+    monkeypatch.setattr(norms, "_interval_table", lambda *args: calls.append(1) or table(*args))
     for sp, f, s, p in _interval_instances():
         _, (oscs, mus) = norms._family_oscillations(sp, f, tuple(range(sp.n)), norms._shorth_rows, s)
         balls = mj.canonical_balls(sp)
@@ -604,6 +638,118 @@ def test_exact_packing_matches_interval_scheduling_on_lines(monkeypatch):
             _interval_scheduling_optimum(sp, balls, terms), rel=1e-12
         )
     assert calls
+
+
+def _old_interval_optimum(spans, rows):
+    """The former per-step dynamic program: the optimum over ``rows``, listed by hi."""
+    before, reach = [], 0.0
+    for lo, hi, term in map(list(zip(*spans)).__getitem__, rows.tolist()):
+        while len(before) <= hi:
+            before.append(reach)
+        total = before[lo] + term
+        if total > reach:
+            reach = total
+    return reach
+
+
+def _position_sum(spans, packing):
+    """A packing's total added from left to right."""
+    total = 0.0
+    for _, term in sorted((spans[0][r], spans[2][r]) for r in packing):
+        total += term
+    return total
+
+
+def test_interval_tables_match_brute_force():
+    # Unit lines and random lines, terms in hundredths (many ties) or
+    # generic.  On small random row subsets every entry of the left and the
+    # right table is the largest position-order float sum over the packings
+    # that end before (start after) the rank, found by enumeration, and the
+    # witness is such a packing; on large subsets the optimum has the bits
+    # of the former dynamic program.
+    rng = np.random.default_rng(71)
+    for trial in range(24):
+        if trial % 2:
+            sp = acceptance.random_space(rng, min_n=12, max_n=40, dim=1)
+        else:
+            sp = mj.grid_space(1, int(rng.integers(12, 70)))
+        n = sp.n
+        family = family_of(sp)
+        lo, hi = norms._interval_rows(sp, space_module._member_matrix(family.words, n))
+        terms = rng.uniform(0.0, 1.0, size=len(lo))
+        if trial % 3:
+            terms = np.round(terms, 2) + 0.01
+        spans = (lo.tolist(), hi.tolist(), terms.tolist())
+        mirrored = ((n - 1 - hi).tolist(), (n - 1 - lo).tolist(), spans[2])
+        by_end, by_start = np.argsort(hi, kind="stable"), np.argsort(-lo, kind="stable")
+        for size in (10, 12, len(lo) // 2, len(lo)):
+            alive = np.zeros(len(lo), dtype=bool)
+            alive[rng.choice(len(lo), size=min(size, len(lo)), replace=False)] = True
+            left, witness = norms._interval_table(spans, by_end[alive[by_end]], n)
+            right, _ = norms._interval_table(mirrored, by_start[alive[by_start]], n)
+            assert len(left) == len(right) == n + 1
+            assert left[n].hex() == _old_interval_optimum(spans, by_end[alive[by_end]]).hex()
+            assert right[n].hex() == _old_interval_optimum(mirrored, by_start[alive[by_start]]).hex()
+            assert witness <= set(np.flatnonzero(alive).tolist())
+            runs = sorted((spans[0][r], spans[1][r]) for r in witness)
+            assert all(a[1] < b[0] for a, b in zip(runs, runs[1:]))
+            assert _position_sum(spans, witness) == left[n]
+            if size > 12:
+                continue
+            rows = np.flatnonzero(alive).tolist()
+            want_left, want_right = [0.0] * (n + 1), [0.0] * (n + 1)
+            for k in range(1 << len(rows)):
+                pack = [r for b, r in enumerate(rows) if k >> b & 1]
+                runs = sorted((spans[0][r], spans[1][r]) for r in pack)
+                if any(a[1] >= b[0] for a, b in zip(runs, runs[1:])):
+                    continue
+                # left[x]: packings that end below rank x, added from the left;
+                # right[n - x]: packings that start at rank x or later, added
+                # from the right.
+                total, total_r = _position_sum(spans, pack), _position_sum(mirrored, pack)
+                first, last = (runs[0][0], runs[-1][1]) if runs else (n, -1)
+                for x in range(last + 1, n + 1):
+                    want_left[x] = max(want_left[x], total)
+                for x in range(first + 1):
+                    want_right[n - x] = max(want_right[n - x], total_r)
+            assert [v.hex() for v in left] == [v.hex() for v in want_left]
+            assert [v.hex() for v in right] == [v.hex() for v in want_right]
+
+
+def _priced_rows(space, family, terms):
+    """The search's priced rows for a family: w(x) term(b) / mu(b) on b, else 0."""
+    member_matrix = space_module._member_matrix(family.words, space.n)
+    density = terms / member_matrix.dot(space.weights)
+    priced = np.multiply(member_matrix, density[:, None])
+    priced *= space.weights
+    return member_matrix, priced
+
+
+def test_suffix_bounds_match_the_density_bound_of_each_suffix():
+    # Random 2-D families, some of them on more than 64 points (two words)
+    # and long enough for several blocks of rows.  bound[i] has the bits of
+    # the density bound of rem[i:]; pre[i] is at least the density bound of
+    # the child that includes rem[i].
+    rng = np.random.default_rng(73)
+    for trial in range(8):
+        n = (16, 24, 70, 90)[trial % 4]
+        sp = acceptance.random_space(rng, min_n=n, max_n=n, dim=2)
+        family = family_of(sp)
+        terms = rng.uniform(0.0, 1.0, size=len(family))
+        if trial % 2:
+            terms = np.round(terms, 2) + 0.01
+        member_matrix, priced = _priced_rows(sp, family, terms)
+        k = min(len(family), int(rng.integers(150, 400)))
+        rem = np.sort(rng.choice(len(family), size=k, replace=False))
+        bound, pre = norms._suffix_bounds(priced, rem)
+        assert n < 64 or k > norms._BLOCK_ELEMS // 2 // n
+        for i in range(k):
+            want = norms._density_bound(priced, rem[i:])
+            assert want.hex() == float(np.add.reduce(priced[rem[i:]].max(axis=0))).hex()
+            assert bound[i].hex() == want.hex()
+            child = rem[i + 1 :][~(member_matrix[rem[i + 1 :]] & member_matrix[rem[i]]).any(axis=1)]
+            child_bound = norms._density_bound(priced, child) if len(child) else 0.0
+            assert pre[i] >= child_bound
 
 
 def test_interval_bound_stays_off_in_the_plane(monkeypatch):

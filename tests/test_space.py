@@ -5,6 +5,7 @@ import pytest
 
 import medianjn as mj
 from medianjn import acceptance
+from medianjn import space as space_module
 from medianjn.errors import (
     AsymmetricMetric,
     EmptyRegion,
@@ -454,6 +455,30 @@ def test_grid_json_keeps_lattice_ties():
 def test_duplicate_points_rejected():
     with pytest.raises(InvalidParameter):
         mj.build_space(["a", "b"], [1, 1], coords=[[0.0], [0.0]])
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"coords": [[0.0], [math.nan], [2.0]]}, "coordinates must be finite"),
+    ({"coords": [[0.0, 1.0], [1.0, -math.inf], [2.0, 0.0]]}, "coordinates must be finite"),
+    ({"coords": [[-1e308], [0.0], [1e308]]}, "coordinates too far apart: a distance overflows"),
+    ({"distances": [[0, 1, math.nan], [1, 0, 1], [math.nan, 1, 0]]}, "distances must be finite"),
+    ({"distances": [[0, 1, math.inf], [1, 0, 1], [math.inf, 1, 0]]}, "distances must be finite"),
+])
+def test_non_finite_metric_rejected(monkeypatch, kwargs, message):
+    # NaN passes every comparison-based check of the metric, and reached an
+    # UnboundLocalError in doubling_profile.  Input coordinates are refused
+    # before the n x n difference array is formed.
+    if "finite" in message and "coords" in kwargs:
+        monkeypatch.setattr(space_module, "_euclidean", lambda c: pytest.fail("n x n work"))
+    with pytest.raises(InvalidParameter) as info:
+        mj.build_space(["a", "b", "c"], [1, 1, 1], **kwargs)
+    assert str(info.value) == message
+
+
+def test_infinite_total_measure_rejected(monkeypatch):
+    monkeypatch.setattr(space_module, "_euclidean", lambda c: pytest.fail("n x n work"))
+    with pytest.raises(InvalidParameter, match="total measure must be finite"):
+        mj.build_space(["a", "b"], [1e308, 1e308], coords=[[0.0], [1.0]])
 
 
 def test_size_blocks_cover_each_row_once_with_the_bits_of_mu():
