@@ -13,8 +13,9 @@ certificates provable rather than merely plausible.
 
 The family is held as arrays (``space._BallFamily``), cached with the
 space per (B0 members, budget) together with an index from member set to
-row; the space keeps each SampleFunction's t-medians per (family, t),
-computed one block of rows of one size at a time.
+row; the space keeps each SampleFunction's t-medians per (family, t) as
+one read-only float array, computed one block of rows of one size at a
+time.
 
 The decomposition at level lambda selects, for every point of the level
 set E_lambda = {x in hat-B0 : M f(x) > lambda} of the median maximal

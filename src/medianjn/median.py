@@ -142,15 +142,16 @@ def weighted_maximal_median(values: np.ndarray, weights: np.ndarray, s: float) -
 def _maximal_median_rows(values: np.ndarray, weights: np.ndarray, s: float) -> np.ndarray:
     """Kernel: maximal s-median of every row of two (rows, k) arrays of values and weights.
 
-    Per row, the first value in default ``argsort`` order at which the
-    mass after it in that order, the total less the running sum, falls
-    below s times the total.  The total and the running sums go along a
-    C-contiguous row, the loops of the 1-D ``sum`` and ``cumsum``, so a
-    row's result does not depend on the other rows.
+    Per row, the first value in stable sorted order (equal values in
+    column order) at which the mass after it in that order, the total
+    less the running sum, falls below s times the total.  The total and
+    the running sums go along a C-contiguous row, the loops of the 1-D
+    ``sum`` and ``cumsum``, so a row's result does not depend on the other
+    rows, nor on the order in which the CPU's default sort leaves ties.
     """
     r, k = values.shape
     base = (np.arange(r) * k)[:, None]
-    order = np.argsort(values, axis=1) + base
+    order = np.argsort(values, axis=1, kind="stable") + base
     v = values.ravel()[order]
     w = weights.ravel()[order]
     total = w.sum(axis=1)
@@ -203,9 +204,10 @@ def _shorth_rows(values: np.ndarray, weights: np.ndarray, words, sizes, s: float
     gives: the leftmost shortest window [u_i, u_j] of sorted distinct
     values whose outside mass passes total - mu[u_i, u_j] < s * total,
     with c its midpoint; (0, u) for a single value; the half-range at the
-    midrange when s * total <= min weight.
+    midrange when s * total <= min weight.  Midpoints and half-ranges are
+    ``_halfway``'s, finite for every finite input.
     """
-    sizes = np.asarray(sizes, dtype=np.intp)
+    sizes = np.asarray(sizes, dtype=np.int32)
     m, n = len(sizes), len(values)
     osc, c, mu = np.empty(m), np.empty(m), np.empty(m)
     # One stable order of all values: position q holds point order[q], and
@@ -214,6 +216,8 @@ def _shorth_rows(values: np.ndarray, weights: np.ndarray, words, sizes, s: float
     sorted_values, sorted_weights = values[order], weights[order]
     value_id = np.zeros(n, dtype=np.intp)
     np.cumsum(sorted_values[1:] != sorted_values[:-1], out=value_id[1:])
+    # Values below 2^1023 in magnitude: no midpoint overflows (``_halfway``).
+    wide = max(-float(sorted_values[0]), float(sorted_values[-1])) >= 2.0**1023
     # Blocks of rows by increasing size: a block's member matrices stay
     # under _UNPACK_ELEMS bytes, and its float temporaries (one entry per
     # member, or per cell of the padded (rows x distinct values) table)
@@ -223,7 +227,7 @@ def _shorth_rows(values: np.ndarray, weights: np.ndarray, words, sizes, s: float
     a = 0
     while a < m:
         b = min(m, a + max(1, _UNPACK_ELEMS // n))
-        while b - a > 1 and (b - a) * ordered[b - 1] > _BLOCK_ELEMS // 2:
+        while b - a > 1 and (b - a) * int(ordered[b - 1]) > _BLOCK_ELEMS // 2:
             b = a + max(1, _BLOCK_ELEMS // 2 // int(ordered[b - 1]))
         sel, size, r = by_size[a:b], ordered[a:b], b - a
         member = _member_matrix(words[sel], n)
@@ -232,7 +236,7 @@ def _shorth_rows(values: np.ndarray, weights: np.ndarray, words, sizes, s: float
         # (rows, k) array runs the pairwise loop of the 1-D sum, so totals
         # are taken on one slice of the index-order weights per size.
         w = weights[np.flatnonzero(member) % n]
-        start = np.cumsum(size) - size
+        start = np.cumsum(size, dtype=np.intp) - size
         total = np.empty(r)
         cuts = [0, *(np.flatnonzero(size[1:] != size[:-1]) + 1).tolist(), r]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -293,7 +297,7 @@ def _shorth_rows(values: np.ndarray, weights: np.ndarray, words, sizes, s: float
         # between total and its summed masses) gets osc inf at its lowest value.
         valid = j <= last
         top = np.where(valid, u.take(j, mode="clip"), u)
-        mid = (u + top) / 2.0
+        mid = _halfway(u, top, wide)
         spread = np.where(valid, np.maximum(np.abs(u - mid), np.abs(top - mid)), np.inf)
         table.fill(np.inf)
         table[padded] = spread
@@ -304,11 +308,30 @@ def _shorth_rows(values: np.ndarray, weights: np.ndarray, words, sizes, s: float
         # Below the lightest atom the s-median of |f - c| is its maximum for
         # every c, so the infimum is the half-range at the midrange point.
         light = s * total <= w_min
-        b_osc = np.where(light, (high - low) / 2.0, b_osc)
-        b_c = np.where(light, (low + high) / 2.0, b_c)
+        b_osc = np.where(light, _halfway(high, -low, wide), b_osc)
+        b_c = np.where(light, _halfway(low, high, wide), b_c)
         single = n_distinct == 1
         osc[sel] = np.where(single, 0.0, b_osc)
         c[sel] = np.where(single, low, b_c)
         mu[sel] = total
         a = b
     return osc, c, mu
+
+
+def _halfway(a: np.ndarray, b: np.ndarray, wide: bool) -> np.ndarray:
+    """(a + b) / 2 entry by entry, and a / 2 + b / 2 in the entries where a + b overflows.
+
+    ``wide`` may be False only when every entry has magnitude below
+    2^1023: then no sum overflows, and the check is skipped.  A sum of finite
+    values overflows only when both lie near the largest float, where
+    their halves are exact, so the mended entries round the midpoint
+    once, as the others do.  ``_halfway(high, -low, wide)`` is
+    (high - low) / 2: x - y is x + (-y) bit for bit.
+    """
+    if not wide:
+        return (a + b) / 2.0
+    with np.errstate(over="ignore"):
+        mid = (a + b) / 2.0
+    over = np.isinf(mid)
+    mid[over] = a[over] / 2.0 + b[over] / 2.0
+    return mid

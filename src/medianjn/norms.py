@@ -86,8 +86,12 @@ weighted mean and a golden-section minimum for q > 1, where the
 objective is convex; the stably sorted first minimum wins, so a zero c
 takes the sign of the lowest-index member holding it.  Every objective
 and measure is a row sum with the bits of the one-ball computation (see
-``space._size_blocks``).  The space keeps each family's values per
-SampleFunction; norm terms mu * osc**(p/q) are formed from Python floats.
+``space._size_blocks``).  The space keeps, per SampleFunction, one
+read-only float64 array of oscillations per (kernel, level, region), and
+per family one read-only array of measures: the first kernel call on the
+family records it, and every function, level and kernel reads it.  Norm
+terms mu * osc**(p/q) are formed from Python floats (``tolist`` at call
+time); the BMO norm is the maximum of the array, which is exact.
 """
 
 from __future__ import annotations
@@ -346,30 +350,57 @@ def _cached_family(space: Space, f, family_key: tuple, key: tuple, compute):
 
     ``family_key`` is (region,) for the canonical balls inside a region and
     (B0 members, budget) for a CZ family.  One call per (family, key); the
-    space keeps the result for a SampleFunction.
+    space keeps the result, a float array made read-only, for a
+    SampleFunction.
     """
     family = _canonical_family(space, *family_key)
-    return family, _memo(space, f, (*key, *family_key), lambda: compute(family))
+    return family, _memo(space, f, (*key, *family_key), lambda: _read_only(compute(family)))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _family_terms(space: Space, f, idx: tuple[int, ...], key: tuple, compute):
+    """``_cached_family`` of the canonical family inside a region, with its measures.
+
+    ``compute(family)`` returns (oscillations, measures) as float arrays.
+    The measures depend on the family alone, and every kernel gives them
+    the bits of ``space.mu``: the first call records them with the space,
+    next to the family, as one read-only array that every later function,
+    level and kernel reads.  Returns (family, oscillations, measures).
+    """
+    fresh = None
+
+    def oscillations(family):
+        nonlocal fresh
+        oscs, fresh = compute(family)
+        return oscs
+
+    family, oscs = _cached_family(space, f, (idx,), key, oscillations)
+    # Without a fresh computation, the call that cached ``oscs`` recorded them.
+    return family, oscs, space._cached(("measures", idx), lambda: _read_only(fresh))
 
 
 def _family_oscillations(space: Space, f, idx: tuple[int, ...], kernel, level: float):
-    """The canonical family inside a region with ``kernel``'s oscillations and measures.
+    """``_family_terms`` with ``kernel``'s oscillations.
 
     ``kernel`` is ``_shorth_rows`` (level s) or ``_integral_rows`` (level q).
     """
 
     def compute(family):
         osc, _, mu = kernel(_as_values(space, f), space.weights, family.words, family.sizes, level)
-        return osc.tolist(), mu.tolist()
+        return osc, mu
 
-    return _cached_family(space, f, (idx,), (kernel.__name__, float(level)), compute)
+    return _family_terms(space, f, idx, (kernel.__name__, float(level)), compute)
 
 
 def bmo_median_norm(space: Space, f, region, s: float) -> float:
     """Largest median oscillation over canonical balls inside the region."""
     _check_s_up_to_half(s)
-    _, (oscs, _) = _family_oscillations(space, f, _region_idx(space, region), _shorth_rows, s)
-    return max(oscs, default=0.0)
+    _, oscs, _ = _family_oscillations(space, f, _region_idx(space, region), _shorth_rows, s)
+    return float(oscs.max(initial=0.0))
 
 
 # ---------------------------------------------------------------- packing
@@ -710,9 +741,9 @@ def jn_median_norm(
     _check_s_up_to_half(s)
 
     idx = _region_idx(space, region)
-    family, (oscs, mus) = _family_oscillations(space, f, idx, _shorth_rows, s)
+    family, oscs, mus = _family_oscillations(space, f, idx, _shorth_rows, s)
     # Python floats: numpy's vectorised power can differ from ** in the last bit.
-    terms = [mu * osc**p for mu, osc in zip(mus, oscs)]
+    terms = [mu * osc**p for mu, osc in zip(mus.tolist(), oscs.tolist())]
     return _jn_norm(space, family, oscs, terms, p, mode, force)
 
 
@@ -732,6 +763,7 @@ def jn_centered_sup(
     this sits between the norm's p-th power and 2^p times it.  Per block of
     family rows, ``_maximal_median_rows`` gives the centers, then the medians.
     """
+    _check_p_exceeds_1(p)
     if not (0.0 < s <= t <= 0.5):
         raise InvalidS(f"need 0 < s <= t <= 1/2, got s={s}, t={t}")
     vals = _as_values(space, f)
@@ -743,12 +775,12 @@ def jn_centered_sup(
             center = _maximal_median_rows(v, w, t)
             oscs[sel] = _maximal_median_rows(np.abs(v - center[:, None]), w, s)
             mus[sel] = w.sum(axis=1)
-        return oscs.tolist(), mus.tolist()
+        return oscs, mus
 
     key = ("centered_family", float(s), float(t))
-    family, (oscs, mus) = _cached_family(space, f, (_region_idx(space, region),), key, compute)
+    family, oscs, mus = _family_terms(space, f, _region_idx(space, region), key, compute)
     # Python floats: numpy's vectorised power can differ from ** in the last bit.
-    terms = [mu * osc**p for mu, osc in zip(mus, oscs)]
+    terms = [mu * osc**p for mu, osc in zip(mus.tolist(), oscs.tolist())]
     return _jn_norm(space, family, oscs, terms, p, mode, force)
 
 
@@ -768,7 +800,7 @@ def jn_integral_norm(
         raise InvalidParameter(f"q must be below p, got q={q}, p={p}")
 
     idx = _region_idx(space, region)
-    family, (oscs, mus) = _family_oscillations(space, f, idx, _integral_rows, q)
+    family, oscs, mus = _family_oscillations(space, f, idx, _integral_rows, q)
     # Python floats: numpy's vectorised power can differ from ** in the last bit.
-    terms = [mu * osc ** (p / q) for mu, osc in zip(mus, oscs)]
+    terms = [mu * osc ** (p / q) for mu, osc in zip(mus.tolist(), oscs.tolist())]
     return _jn_norm(space, family, oscs, terms, p, mode, force)

@@ -20,8 +20,9 @@ empty, and by ``_region_idx`` for the norms and ball families of a
 region, which raises EmptyRegion; both read ``_resolve_region``, where
 a string raises InvalidParameter and an unknown id, an index outside
 [0, n) or a bool raises UnknownCenter.
-What a space derives once (its id table, distance order, ball families,
-doubling profile and each SampleFunction's results) is kept through
+What a space derives once (its id table, distance order, ball families
+and their measures, doubling profile and each SampleFunction's results,
+as read-only arrays where they are per ball) is kept through
 ``Space._cached(key, compute)``; the one other reader of the cache is
 ``czd.cz_family``, which keeps only the latest family's balls.  Every
 ``Ball`` is built by ``_balls`` from center indices, radii and the
@@ -444,9 +445,10 @@ def _distance_order(space: Space) -> np.ndarray:
 class _BallFamily:
     """Distinct prefix balls as arrays, one row per ball in (center, radius) order.
 
-    ``centers`` holds center indices, ``radii`` representative radii and
-    ``sizes`` member counts; ``words`` packs each member set into 64-bit
-    words, point i being bit i % 64 of word i // 64.  The arrays are
+    ``centers`` holds center indices and ``sizes`` member counts, both
+    int32 (index arithmetic that can pass 2^31 goes in intp); ``radii``
+    holds representative radii, and ``words`` packs each member set into
+    64-bit words, point i being bit i % 64 of word i // 64.  The arrays are
     read-only: families are cached per space.
     """
 
@@ -494,8 +496,8 @@ def _size_blocks(sizes, block):
     1-D sum.  Every row kernel relies on this for its measures, objectives
     and cumulative masses.
     """
-    sizes = np.asarray(sizes, dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
+    sizes = np.asarray(sizes, dtype=np.int32)
+    starts = np.cumsum(sizes, dtype=np.intp) - sizes
     for k in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():
         rows = np.flatnonzero(sizes == k)
         step = max(1, block(k))
@@ -586,9 +588,9 @@ def _prefix_family(space: Space, centers, budget=None, inside=None) -> _BallFami
         first[1:] |= run[1:] != run[:-1]
     keep = np.sort(perm[first])
     family = _BallFamily(
-        centers=centers[rows[keep]],
+        centers=centers[rows[keep]].astype(np.int32),
         radii=radius[keep],
-        sizes=last[keep] + 1,
+        sizes=(last[keep] + 1).astype(np.int32),
         words=np.ascontiguousarray(words[:, keep].T),
     )
     for arr in (family.centers, family.radii, family.sizes, family.words):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import medianjn as mj
 from medianjn.errors import EmptySet, InvalidS
 from medianjn import acceptance
-from medianjn.median import _shorth_rows
+from medianjn.median import _maximal_median_rows, _shorth_rows
 from medianjn.space import _member_indices
 
 from util import family_of, fn, line_space, packed, random_space, two_point_space
@@ -107,6 +107,32 @@ def test_oscillation_constant():
     sp = two_point_space()
     f = fn(sp, [3.0, 3.0])
     assert mj.median_oscillation(sp, f, None, 0.5) == (0.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "vals, s, expected, pinned",
+    [
+        # Below the lightest atom: the midrange (low + high) / 2 overflowed.
+        ((1e308, 1.7e308), 0.25, (3.5e307, 1.35e308),
+         ("0x1.8ebbb5516e5acp+1021", "0x1.807e25b31820bp+1023")),
+        # Below the lightest atom: the half-range (high - low) / 2 overflowed.
+        ((-1e308, 1.7e308), 0.25, (1.35e308, 3.5e307),
+         ("0x1.807e25b31820bp+1023", "0x1.8ebbb5516e5acp+1021")),
+        # The shortest window's midpoint overflowed, so every window read inf.
+        ((1e308, 1.5e308, 1.7e308), 0.5, (1e307, 1.6e308),
+         ("0x1.c7b1f3cac7430p+1019", "0x1.c7b1f3cac7433p+1023")),
+        # The shortest window's midpoint overflowed and a longer window won.
+        ((-1.7e308, 1.5e308, 1.7e308), 0.5, (1e307, 1.6e308),
+         ("0x1.c7b1f3cac7430p+1019", "0x1.c7b1f3cac7433p+1023")),
+    ],
+    ids=["midrange", "half-range", "window", "longer-window"],
+)
+def test_oscillation_midpoints_do_not_overflow(vals, s, expected, pinned):
+    sp = line_space(range(len(vals)))
+    got = mj.median_oscillation(sp, fn(sp, vals), None, s)
+    for value, want in zip(got, expected):
+        assert abs(value - want) <= 1e-15 * abs(want)
+    assert tuple(value.hex() for value in got) == pinned
 
 
 def test_oscillation_degenerates_above_half():
@@ -461,8 +487,8 @@ def test_function_loading():
 
 
 def _old_weighted_maximal_median(values, weights, s):
-    """The former 1-D kernel of ``weighted_maximal_median``."""
-    order = np.argsort(values)
+    """The former 1-D kernel of ``weighted_maximal_median``, in stable sorted order."""
+    order = np.argsort(values, kind="stable")
     v = values[order]
     w = weights[order]
     total = w.sum()
@@ -487,6 +513,31 @@ def test_weighted_maximal_median_matches_the_former_1d_kernel():
         s = levels[trial % len(levels)] if trial % 3 else float(rng.uniform(1e-3, 1.0))
         got = mj.weighted_maximal_median(values, weights, s)
         assert float.hex(got) == float.hex(_old_weighted_maximal_median(values, weights, s))
+
+
+def _stable_maximal_median(values, weights, s):
+    """Maximal s-median with the members sorted by Python's stable sort, equal values in index order."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    w = np.array([weights[i] for i in order])
+    total = w.sum()
+    tails = (total - np.cumsum(w)).tolist()
+    return next(values[i] for i, tail in zip(order, tails) if tail < s * total)
+
+
+def test_maximal_median_ties_keep_index_order():
+    # The default argsort may reorder equal values (it did on AVX-512 even
+    # at k = 8), which moved the running sums and here the answer: 1.0.
+    values = [2.0, 1.0, 2.0, 1.0, 1.0, 2.0, 2.0, 2.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    weights = [1.4, 0.8, 1.4, 1.8, 0.5, 1.8, 1.6, 1.2, 0.3, 0.4, 0.4, 2.0, 0.2, 1.0]
+    assert _stable_maximal_median(values, weights, 0.5) == 2.0
+    assert mj.weighted_maximal_median(np.array(values), np.array(weights), 0.5) == 2.0
+    rng = np.random.default_rng(0)
+    for k in range(8, 40):
+        values = rng.integers(0, 3, size=(60, k)).astype(float)
+        weights = rng.integers(1, 21, size=(60, k)) / 10.0
+        got = _maximal_median_rows(values, weights, 0.5).tolist()
+        for row, value in enumerate(got):
+            assert value == _stable_maximal_median(values[row].tolist(), weights[row].tolist(), 0.5)
 
 
 def test_from_mapping_reports_missing_and_extra_ids():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import medianjn as mj
-from medianjn import acceptance, norms
+from medianjn import acceptance, czd, norms
 from medianjn import space as space_module
 from medianjn.errors import (
     EmptyRegion,
@@ -351,6 +351,21 @@ def test_centered_sup_sandwich_smoke():
         mj.jn_centered_sup(sp, f, None, 2.0, 0.4, 0.3)
 
 
+@pytest.mark.parametrize(
+    "p, message",
+    [(math.inf, "p must be finite, got inf"), (0.5, "p must exceed 1, got 0.5"),
+     (-1.0, "p must exceed 1, got -1.0")],
+    ids=["inf", "below-one", "negative"],
+)
+def test_centered_sup_refuses_p_outside_one_to_inf(p, message):
+    # Unchecked, p = inf returned 1.0 with total inf, p = 0.5 about 72 and
+    # p = -1 raised ZeroDivisionError.
+    g = mj.grid_space(1, 6)
+    with pytest.raises(InvalidParameter) as info:
+        mj.jn_centered_sup(g, fn(g, np.arange(6.0)), None, p, 0.25, 0.5)
+    assert str(info.value) == message
+
+
 def test_norm_algebra():
     # Subadditivity under split levels, absolute-value contraction, and the
     # max/min bounds at quartered levels.
@@ -630,9 +645,9 @@ def test_exact_packing_matches_interval_scheduling_on_lines(monkeypatch):
     table = norms._interval_table
     monkeypatch.setattr(norms, "_interval_table", lambda *args: calls.append(1) or table(*args))
     for sp, f, s, p in _interval_instances():
-        _, (oscs, mus) = norms._family_oscillations(sp, f, tuple(range(sp.n)), norms._shorth_rows, s)
+        _, oscs, mus = norms._family_oscillations(sp, f, tuple(range(sp.n)), norms._shorth_rows, s)
         balls = mj.canonical_balls(sp)
-        terms = [mu * osc**p for mu, osc in zip(mus, oscs)]
+        terms = [mu * osc**p for mu, osc in zip(mus.tolist(), oscs.tolist())]
         res = mj.jn_median_norm(sp, f, None, p, s, force=True)
         assert res.total == pytest.approx(
             _interval_scheduling_optimum(sp, balls, terms), rel=1e-12
@@ -879,3 +894,35 @@ def test_function_results_are_kept_per_space():
     gc.collect()
     assert kept() is None
     assert len(a._cache()["functions"]) == 0 and len(b._cache()["functions"]) == 0
+
+
+def test_family_caches_are_read_only_arrays():
+    sp = mj.grid_space(1, 12)
+    f = fn(sp, np.random.default_rng(4).normal(size=12))
+    mj.bmo_median_norm(sp, f, None, 0.25)
+    mj.jn_integral_norm(sp, f, None, 2.0, 1.0, force=True)
+    mj.jn_centered_sup(sp, f, None, 2.0, 0.25, 0.5, force=True)
+    czd._family_medians(f, mj.cz_params(sp, mj.ball_at(sp, "p6", 3.0), eta=1.0))
+    cache = sp._cache()
+    entries = [v for k, v in cache["functions"][f].items() if k[0] != "osc"]
+    entries += [v for k, v in cache.items() if isinstance(k, tuple) and k[0] == "measures"]
+    assert len(entries) == 5  # three norms, the CZ medians and one measure array
+    for arr in entries:
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_one_measure_array_serves_every_level_and_kernel():
+    sp = random_space(np.random.default_rng(8), min_n=10, max_n=10)
+    f, g = (fn(sp, np.random.default_rng(seed).normal(size=sp.n)) for seed in (1, 2))
+    idx = tuple(range(sp.n))
+    _, _, mus = norms._family_oscillations(sp, f, idx, norms._shorth_rows, 0.25)
+    assert norms._family_oscillations(sp, f, idx, norms._shorth_rows, 0.5)[2] is mus
+    assert norms._family_oscillations(sp, f, idx, norms._integral_rows, 1.0)[2] is mus
+    assert norms._family_oscillations(sp, g, idx, norms._integral_rows, 2.0)[2] is mus
+    mj.jn_centered_sup(sp, g, None, 2.0, 0.25, 0.5, force=True)
+    assert sp._cache()[("measures", idx)] is mus
+    balls = mj.canonical_balls(sp)
+    assert [m.hex() for m in mus.tolist()] == [sp.mu(b.idx).hex() for b in balls]
