@@ -21,8 +21,9 @@ against dilate or ball against rho dilate (containment) over blocks of
 pairs of the same bound.  Each condition reports its first violation by
 ball, then by position along the ball's chain; a link with an unknown
 point id raises UnknownCenter only when it is the first link to fail.
-Measures keep the bits of ``space.mu``: a row's points are summed in
-their own order, with one C-contiguous array per row length.
+Measures, maximal medians and weak-Lp norms of point lists go through
+``space._row_blocks``, and measures keep the bits of ``space.mu``
+through ``space._row_sums``: a row's points are summed in their own order.
 
 ``global_jn_verify`` combines the local weak-type inequality on each
 dilated ball with the chaining estimate to bound the oscillation of f
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .czd import _s0, alpha_of, local_jn_constant
+from .czd import _lambda_levels, _s0, alpha_of, local_jn_constant
 from .errors import (
     ConstructionFailed,
     InvalidParameter,
@@ -58,8 +59,9 @@ from .space import (
     _balls_at,
     _balls_from_json,
     _pack_rows,
-    _point_blocks,
     _point_ids,
+    _row_blocks,
+    _row_sums,
     dilate,
     doubling_profile,
 )
@@ -396,44 +398,39 @@ def _escapes(words, rows, cover, cover_rows) -> np.ndarray:
 
 def _measures(weights: np.ndarray, flat: np.ndarray, sizes) -> np.ndarray:
     """Per row of concatenated point lists: the bits of ``space.mu`` on it, 0.0 when empty."""
-    mu = np.zeros(len(sizes))
-    for rows, cols in _point_blocks(sizes):
-        mu[rows] = weights[flat[cols]].sum(axis=1)
+    mu, padded = np.empty(len(sizes)), np.append(weights, 0.0)
+    for rows, size, pts in _row_blocks(len(weights), sizes, flat):
+        mu[rows] = _row_sums(padded[pts], size)
     return mu
 
 
 # ---------------------------------------------------------------- grid helper
 
 
-def _grid_layout(space: Space):
+def _grid_spacing(space: Space) -> float:
+    """The smallest gap between distinct first coordinates of a 1-D or 2-D grid."""
     if space.coords is None:
         raise InvalidParameter("grid decomposition needs coordinate geometry")
-    dims = space.coords.shape[1]
-    if dims not in (1, 2):
+    if space.coords.shape[1] not in (1, 2):
         raise InvalidParameter("grid decomposition supports 1-D and 2-D only")
     # Gaps between the distinct first coordinates: sort, diff, drop zeros.
     diffs = np.diff(np.sort(space.coords[:, 0]))
     diffs = diffs[diffs > 0.0]
-    spacing = float(diffs.min()) if len(diffs) else 1.0
-    return dims, spacing
+    return float(diffs.min()) if len(diffs) else 1.0
 
 
-def grid_boman_decomposition(
-    space: Space, target_ball: Ball, granularity: int = 1
-) -> BomanDecomposition:
+def grid_boman_decomposition(space: Space, target_ball: Ball) -> BomanDecomposition:
     """Construct and verify a chain decomposition of a grid region.
 
-    Places one small ball per target point (or per block of ``granularity``
-    points on 1-D grids), chains each through grid-adjacent neighbors to a
-    central ball, and searches a fixed lattice of (C1, C2, C3) window
-    parameters until verification passes.  Raises ConstructionFailed with
-    the best near-miss when nothing verifies.
+    Places one small ball per target point, chains each through
+    grid-adjacent neighbors to a central ball, and searches a fixed
+    lattice of (C1, C2, C3) window parameters until verification passes.
+    Raises ConstructionFailed with the best near-miss when nothing
+    verifies.
     """
     if target_ball.size == 0:
         raise InvalidParameter("target ball is empty")
-    dims, spacing = _grid_layout(space)
-    if granularity < 1 or (granularity > 1 and granularity % 2 == 0):
-        raise InvalidParameter("granularity must be 1 or an odd block size")
+    spacing = _grid_spacing(space)
 
     if target_ball.size == 1:
         return _trivial_decomposition(space, target_ball)
@@ -442,9 +439,7 @@ def grid_boman_decomposition(
     best_dec: BomanDecomposition | None = None
     for half_window in (2, 3, 4, 6, 8):
         for c3 in (1.5, 1.25, 1.1, 1.01):
-            dec = _windowed_decomposition(
-                space, target_ball, spacing, dims, half_window, c3, granularity
-            )
+            dec = _windowed_decomposition(space, target_ball, spacing, half_window, c3)
             if dec is None:
                 continue
             cert = verify_boman(space, dec)
@@ -476,34 +471,20 @@ def _trivial_decomposition(space: Space, ball: Ball) -> BomanDecomposition:
     raise ConstructionFailed("single-point target admits no C2 > C1 > 1 dilates")
 
 
-def _windowed_decomposition(
-    space, target_ball, spacing, dims, half_window, c3, granularity
-) -> BomanDecomposition | None:
-    r0 = 0.5 * spacing * granularity
-    c1 = (2.0 * half_window + granularity) * spacing / (2.0 * r0)
-    c2 = (2.0 * (half_window + 1) + granularity) * spacing / (2.0 * r0)
+def _windowed_decomposition(space, target_ball, spacing, half_window, c3) -> BomanDecomposition | None:
+    r0 = 0.5 * spacing
+    c1 = (2.0 * half_window + 1) * spacing / (2.0 * r0)
+    c2 = (2.0 * (half_window + 1) + 1) * spacing / (2.0 * r0)
 
-    target = list(target_ball.idx)
-    if granularity == 1:
-        centers = target
-    else:
-        if dims != 1:
-            return None
-        ordered = sorted(target, key=lambda i: space.coords[i, 0])
-        if len(ordered) % granularity != 0:
-            return None
-        centers = [
-            ordered[k + granularity // 2]
-            for k in range(0, len(ordered), granularity)
-        ]
+    centers = list(target_ball.idx)
     balls = _balls_at(space, ((space.point_ids[c], r0) for c in centers))
 
     # Central ball: nearest to the centroid of the target, ties by index.
-    centroid = space.coords[target].mean(axis=0)
+    centroid = space.coords[centers].mean(axis=0)
     dists = np.linalg.norm(space.coords[centers] - centroid[None, :], axis=1)
     central = int(np.argmin(dists))
 
-    cells = np.round(space.coords[centers] / (spacing * granularity)).astype(int).tolist()
+    cells = np.round(space.coords[centers] / spacing).astype(int).tolist()
     chains = _grid_chains([tuple(c) for c in cells], central)
     if chains is None:
         return None
@@ -632,13 +613,15 @@ def _chain_ratio(space: Space, f, dec: BomanDecomposition, p: float, s: float) -
     _check_p(p)
     rows = _ball_rows(space, ((b.center, dec.c1 * b.radius) for b in dec.balls))[2]
     owner, members = np.nonzero(rows)
-    med, mu, norm = (np.zeros(len(rows)) for _ in range(3))
-    for part, cols in _point_blocks(np.bincount(owner, minlength=len(rows))):
-        pts = members[cols]
-        v, w = vals[pts], space.weights[pts]
-        med[part] = _maximal_median_rows(v, w, s)
-        mu[part] = w.sum(axis=1)
-        norm[part] = _weak_lp_rows(np.abs(v - med[part][:, None]), w, p)
+    med, mu, norm = (np.empty(len(rows)) for _ in range(3))
+    padded_vals, padded_weights = np.append(vals, np.inf), np.append(space.weights, 0.0)
+    for part, size, pts in _row_blocks(space.n, np.bincount(owner, minlength=len(rows)), members):
+        v, w = padded_vals[pts], padded_weights[pts]
+        med[part] = _maximal_median_rows(v, w, s, size)
+        mu[part] = _row_sums(w, size)
+        # The weak-Lp kernel pads with level 0: an inf level times 0 mass is NaN.
+        dev = np.where(pts < space.n, np.abs(v - med[part][:, None]), 0.0)
+        norm[part] = _weak_lp_rows(dev, w, p)
     med = med.tolist()
     m_star = med[dec.central]
     lhs = 0.0
@@ -654,6 +637,11 @@ def _chain_ratio(space: Space, f, dec: BomanDecomposition, p: float, s: float) -
 
 
 # ---------------------------------------------------------------- global verifier
+
+
+def _check_budget(c_budget: float) -> None:
+    if not 0.0 < c_budget < math.inf:
+        raise InvalidParameter(f"the budget must be finite and positive, got {c_budget}")
 
 
 @dataclass(frozen=True)
@@ -699,8 +687,12 @@ def global_jn_verify(
     c_budget * norm^p / lambda^p, plus the measured constant
     max_lambda lhs lambda^p / norm^p.  The default budget is
     2^p c (C0 + 1) M with c the local constant and C0 the empirical chain
-    ratio.  Raises UnverifiedDecomposition and InvalidS.
+    ratio.  Raises UnverifiedDecomposition, InvalidS, InvalidLevel and
+    InvalidParameter (a budget that is not finite and positive).
     """
+    lambdas = None if lambda_grid is None else _lambda_levels(lambda_grid)
+    if c_budget is not None:
+        _check_budget(c_budget)
     cert = verify_boman(space, dec)
     if not cert.ok:
         raise UnverifiedDecomposition(f"decomposition fails {cert.failing()}")
@@ -725,11 +717,8 @@ def global_jn_verify(
         c_budget = 2.0**p * c_local * (ratio.c0 + 1.0) * dec.overlap
 
     hi = 2.0 * float(g[region_idx].max()) if len(region_idx) else 0.0
-    if lambda_grid is None:
-        lambda_grid = (
-            np.geomspace(hi * 1e-3, hi, 50) if hi > 0.0 else np.array([1.0])
-        )
-    lambdas = np.asarray(lambda_grid, dtype=float)
+    if lambdas is None:
+        lambdas = np.geomspace(hi * 1e-3, hi, 50) if hi > 0.0 else np.array([1.0])
     # mu{|f - a| > lambda} per lambda: one running sum along the region, in
     # its order, so no Python version's ``sum`` regroups the additions.
     above = np.where(g[region_idx] > lambdas[:, None], space.weights[region_idx], 0.0)
@@ -789,8 +778,10 @@ def jn_equivalence_check(
 
     The lower bound s^(1/q) median <= integral is a hard assertion; the
     upper side compares the ratio against (c_budget p / (p - q))^(1/q) and
-    is reported.  Both norms zero counts as trivially equivalent.
+    is reported.  Both norms zero counts as trivially equivalent.  A
+    budget that is not finite and positive raises InvalidParameter.
     """
+    _check_budget(c_budget)
     if not q < p:
         raise InvalidParameter(f"q must be below p, got q={q}, p={p}")
     med = jn_median_norm(space, f, region, p, s, mode="exact", force=True)

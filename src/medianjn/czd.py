@@ -14,8 +14,8 @@ certificates provable rather than merely plausible.
 The family is held as arrays (``space._BallFamily``), cached with the
 space per (B0 members, budget) together with an index from member set to
 row; the space keeps each SampleFunction's t-medians per (family, t) as
-one read-only float array, computed one block of rows of one size at a
-time.
+one read-only float array, computed by one ``_maximal_median_rows`` call
+per block of ``space._row_blocks``, as are the maximal functions.
 
 The decomposition at level lambda selects, for every point of the level
 set E_lambda = {x in hat-B0 : M f(x) > lambda} of the median maximal
@@ -69,10 +69,9 @@ from .space import (
     _BallFamily,
     _canonical_family,
     _family_balls,
-    _member_blocks,
     _member_matrix,
     _pack_rows,
-    _point_blocks,
+    _row_blocks,
     dilate,
     doubling_profile,
 )
@@ -83,11 +82,23 @@ _REL_EPS = 1e-12
 def _check_eta(eta: float) -> None:
     if not eta > 0.0:
         raise InvalidParameter(f"eta must be positive, got {eta}")
+    if eta == math.inf:
+        raise InvalidParameter(f"eta must be finite, got {eta}")
 
 
 def _check_t(t: float) -> None:
     if not (0.0 < t <= 1.0):
         raise InvalidParameter(f"t must lie in (0, 1], got {t}")
+
+
+def _lambda_levels(lambda_grid) -> np.ndarray:
+    """A lambda grid as a float array; InvalidLevel if it is empty or not finite."""
+    levels = np.asarray(lambda_grid, dtype=float)
+    if levels.size == 0:
+        raise InvalidLevel("the lambda grid is empty")
+    if not np.isfinite(levels).all():
+        raise InvalidLevel(f"lambda levels must be finite, got {levels[~np.isfinite(levels)][0]}")
+    return levels
 
 
 def alpha_of(profile: DoublingProfile, eta: float) -> float:
@@ -167,6 +178,8 @@ def cz_params(
         K = 2.0 ** (1.0 / p)
     if not K > 1.0:
         raise InvalidParameter(f"K must exceed 1, got {K}")
+    if K == math.inf:
+        raise InvalidParameter(f"K must be finite, got {K}")
     family = cz_family(space, b0, eta)
     alpha = alpha_of(profile, eta)
     c3 = profile.c_mu**3
@@ -192,17 +205,17 @@ def cz_params(
 def _family_medians(f, params: CZParams) -> tuple[_BallFamily, np.ndarray]:
     """The CZ family's arrays and the t-median of |f| on every row (``norms._cached_family``).
 
-    Rows of one size go through ``_maximal_median_rows`` in the blocks of
-    ``space._member_blocks``, each row with the bits of the one-set
-    ``weighted_maximal_median`` on its members in index order.
+    One ``_maximal_median_rows`` call per block of ``space._row_blocks``,
+    each row with the bits of the one-set ``weighted_maximal_median`` on
+    its members in index order.
     """
     space = params.space
 
     def compute(family):
-        g, w = np.abs(_as_values(space, f)), space.weights
+        g, w = np.append(np.abs(_as_values(space, f)), np.inf), np.append(space.weights, 0.0)
         med = np.empty(len(family))
-        for sel, pts in _member_blocks(family.words, family.sizes, space.n):
-            med[sel] = _maximal_median_rows(g[pts], w[pts], params.t)
+        for sel, size, pts in _row_blocks(space.n, family.sizes, family.words):
+            med[sel] = _maximal_median_rows(g[pts], w[pts], params.t, size)
         return med
 
     family_key = (params.b0.idx, params.budget)
@@ -215,41 +228,39 @@ def _threshold(params: CZParams, g: np.ndarray) -> float:
     return weighted_maximal_median(g[hat], params.space.weights[hat], params.t / params.alpha)
 
 
-def _blocks_through(space: Space, x: str, family) -> list:
-    """(rows, k) member index blocks of the family balls through x, each in the ball's order."""
-    xi = space.index(x)
-    rows = [ball.idx for ball in family if xi in ball.idx]
-    flat = np.array([i for idx in rows for i in idx], dtype=np.intp)
-    return [flat[cols] for _, cols in _point_blocks([len(idx) for idx in rows])]
-
-
 def median_maximal(space: Space, f, x: str, family, t: float) -> float:
     """sup over family balls through x of the maximal t-median of |f|; 0.0 if none.
 
-    Per size block of those balls, one ``_maximal_median_rows`` call.
+    One ``_maximal_median_rows`` call per ``_row_blocks`` block of those balls.
     """
     _check_t(t)
-    g, w = np.abs(_as_values(space, f)), space.weights
+    g, w = np.append(np.abs(_as_values(space, f)), np.inf), np.append(space.weights, 0.0)
+    xi = space.index(x)
+    rows = [ball.idx for ball in family if xi in ball.idx]
+    flat = np.array([i for idx in rows for i in idx], dtype=np.intp)
     best = 0.0
-    for pts in _blocks_through(space, x, family):
-        best = max(best, _maximal_median_rows(g[pts], w[pts], t).max())
+    for _, size, pts in _row_blocks(space.n, list(map(len, rows)), flat):
+        best = max(best, _maximal_median_rows(g[pts], w[pts], t, size).max())
     return float(best)
 
 
 def sharp_maximal(space: Space, f, x: str, family, t: float, beta: float) -> float:
     """sup over family balls through x of m^{t/beta}_{|f - m_f^t(B)|}(B); 0.0 if none.
 
-    Per size block, ``_maximal_median_rows`` gives the centers, then the deviation medians.
+    Per block of those balls, ``_maximal_median_rows`` gives the centers, then the deviation medians.
     """
     _check_t(t)
     level = t / beta
     if not (0.0 < level <= 1.0):
         raise InvalidLevel(f"t/beta must lie in (0, 1], got {level}")
-    vals, w = _as_values(space, f), space.weights
+    vals, w = np.append(_as_values(space, f), np.inf), np.append(space.weights, 0.0)
+    xi = space.index(x)
+    rows = [ball.idx for ball in family if xi in ball.idx]
+    flat = np.array([i for idx in rows for i in idx], dtype=np.intp)
     best = 0.0
-    for pts in _blocks_through(space, x, family):
-        center = _maximal_median_rows(vals[pts], w[pts], t)[:, None]
-        dev = _maximal_median_rows(np.abs(vals[pts] - center), w[pts], level)
+    for _, size, pts in _row_blocks(space.n, list(map(len, rows)), flat):
+        center = _maximal_median_rows(vals[pts], w[pts], t, size)[:, None]
+        dev = _maximal_median_rows(np.abs(vals[pts] - center), w[pts], level, size)
         best = max(best, dev.max())
     return float(best)
 
@@ -619,10 +630,12 @@ def local_jn_verify(
     For each lambda: lhs = mu{x in B0 : |f - m_f^r(B0)| > lambda} against
     rhs = c * norm^p / lambda^p with the norm taken over hat-B0 in exact
     mode.  The below-threshold regime is covered by the separate bound
-    mu(hat-B0) lambda0^p <= 2^p norm^p.  Raises InvalidS and
-    InvalidCenterLevel.
+    mu(hat-B0) lambda0^p <= 2^p norm^p.  Raises InvalidS,
+    InvalidCenterLevel and InvalidLevel.
     """
     space = params.space
+    if lambda_grid is not None:
+        lambda_grid = _lambda_levels(lambda_grid)
     if not (0.0 < s <= params.s0 * (1.0 + _REL_EPS)):
         raise InvalidS(f"s must lie in (0, s0={params.s0:.6g}], got {s}")
     if not (s <= r_center * (1.0 + _REL_EPS) and r_center <= 0.5):
@@ -639,7 +652,7 @@ def local_jn_verify(
         lambda_grid = _default_lambda_grid(lambda0, 2.0 * float(g[hat_idx].max()))
     entries = []
     b0_idx = list(params.b0.idx)
-    for lam in np.asarray(lambda_grid, dtype=float):
+    for lam in lambda_grid:
         lhs = float(space.weights[b0_idx][g[b0_idx] > lam].sum())
         rhs = c_const * norm.total / lam**p if lam > 0.0 else math.inf
         entries.append(

@@ -94,7 +94,7 @@ class PreconditionViolated(MedianJNError):
 
 
 class InvalidLevel(MedianJNError):
-    """A median level derived from t and beta left (0, 1]."""
+    """A median level derived from t and beta left (0, 1], or a lambda grid is empty or not finite."""
 
 
 class InvalidCenterLevel(MedianJNError):

@@ -20,36 +20,36 @@ with array operations, and returns for each set exactly the bits of the
 one-set computation:
 
 * One stable argsort of all n values per call gives a global value order
-  and the id of each point's distinct value.  Taking a block's member
-  matrix in that column order lists each row's members by value, equal
-  values in index order, with no per-row sort.  A cell is a (row, distinct
-  value) pair; one ``bincount`` over the members sums each cell's mass in
-  index order, as the one-set computation does, and a row-wise cumsum over
-  the masses, left-aligned in a (rows, distinct values) table, gives the
-  cumulative masses.
+  and the id of each point's distinct value.  Rows come in the blocks of
+  ``space._row_blocks``, a padded matrix of member indices each; sorting
+  each row's ranks in the global order (the padding ranked last) lists
+  its members by value, equal values in index order.  A cell is a (row,
+  distinct value) pair; one ``bincount`` over the members sums each
+  cell's mass in index order, as the one-set computation does, and a
+  row-wise cumsum over the masses, left-aligned in a (rows, distinct
+  values) table, gives the cumulative masses.
 * The search runs only on live (row, left end) cells, not on padding: for
   each left end i, a power-of-two descent finds the first right end j that
   passes the strict-tail expression total - (cum[j] - below_i) < s * total
   itself.  Float subtraction is monotone and the masses are positive, so
   the expression is monotone in j and the descent picks the same j as a
   two-pointer scan would; the leftmost minimal width wins.
-* mu(B) is ``weights[idx].sum()``: numpy sums a 1-D array pairwise, and a
-  row sum of a C-contiguous 2-D array runs the same pairwise loop, while
-  zero-padded rows or ``np.add.reduceat`` group the additions differently.
-  So totals are taken on one slice of the block's index-order weights per
-  ball size; the lightest weight is one ``np.minimum.reduceat``.
+* mu(B) is ``weights[idx].sum()``, numpy's pairwise sum: the one
+  row-sum rule, ``space._row_sums``, gives it from the block's padded
+  weights in index order; the lightest weight is one
+  ``np.minimum.reduceat``.
 * Norm terms mu * osc**p are formed from Python floats: numpy's vectorised
   ``power`` can differ from ``**`` in the last bit.
 
 The sign of a zero center c is that of the row's lowest-index member
 holding zero, which the global order does not carry by itself: a cell
 takes the value of its first member in the row.  Each set comes as a row
-of packed member words, as a ball family stores it.  Rows go in blocks by
-size whose float temporaries hold at most ``_BLOCK_ELEMS // 2`` elements
-(64 KiB) and whose member matrices at most ``_UNPACK_ELEMS`` bytes.  At
-twice that size the peak resident memory of a ``library`` benchmark round
-rose by about 0.6 MB, the allocator effect ``norms._dominated_rows``
-records for its tiles.
+of packed member words, as a ball family stores it.  The blocks are
+``_row_blocks``' default ones: at most ``_BLOCK_ELEMS // 2`` padded
+elements (64 KiB of floats) and ``_UNPACK_ELEMS`` bytes of unpacked
+member rows.  At twice that size the peak resident memory of a
+``library`` benchmark round rose by about 0.6 MB, the allocator effect
+``norms._dominated_rows`` records for its tiles.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, InvalidS
-from .space import _BLOCK_ELEMS, _UNPACK_ELEMS, Space, _member_matrix, _pack_rows, _set_idx
+from .space import Space, _pack_rows, _row_blocks, _row_sums, _set_idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,22 +139,24 @@ def weighted_maximal_median(values: np.ndarray, weights: np.ndarray, s: float) -
     return float(_maximal_median_rows(values[None], weights[None], s)[0])
 
 
-def _maximal_median_rows(values: np.ndarray, weights: np.ndarray, s: float) -> np.ndarray:
+def _maximal_median_rows(values: np.ndarray, weights: np.ndarray, s: float, sizes=None) -> np.ndarray:
     """Kernel: maximal s-median of every row of two (rows, k) arrays of values and weights.
 
-    Per row, the first value in stable sorted order (equal values in
-    column order) at which the mass after it in that order, the total
-    less the running sum, falls below s times the total.  The total and
-    the running sums go along a C-contiguous row, the loops of the 1-D
-    ``sum`` and ``cumsum``, so a row's result does not depend on the other
-    rows, nor on the order in which the CPU's default sort leaves ties.
+    Row i holds its set in its first ``sizes[i]`` columns (all k by
+    default), then padding of value +inf and weight 0, which sorts last
+    and leaves every running sum as it is.  Per row, the first value in
+    stable sorted order (equal values in column order) at which the total
+    less the running sum falls below s times the total, else the first
+    sorted value.  Totals are ``_row_sums`` of the sorted weights and the
+    running sums the 1-D ``cumsum`` loop along a row, so no result depends
+    on the other rows, the padding or how the CPU's default sort orders ties.
     """
     r, k = values.shape
     base = (np.arange(r) * k)[:, None]
     order = np.argsort(values, axis=1, kind="stable") + base
     v = values.ravel()[order]
     w = weights.ravel()[order]
-    total = w.sum(axis=1)
+    total = _row_sums(w, np.full(r, k) if sizes is None else sizes)
     tails = total[:, None] - np.cumsum(w, axis=1)
     j = np.argmax(tails < (s * total)[:, None], axis=1)
     return v[np.arange(r), j]
@@ -207,56 +209,41 @@ def _shorth_rows(values: np.ndarray, weights: np.ndarray, words, sizes, s: float
     midrange when s * total <= min weight.  Midpoints and half-ranges are
     ``_halfway``'s, finite for every finite input.
     """
-    sizes = np.asarray(sizes, dtype=np.int32)
     m, n = len(sizes), len(values)
     osc, c, mu = np.empty(m), np.empty(m), np.empty(m)
     # One stable order of all values: position q holds point order[q], and
-    # value_id[q] numbers the distinct values in increasing order.
+    # value_id[q] numbers the distinct values in increasing order; rank is
+    # the inverse of order, with the pad index n ranked last.
     order = np.argsort(values, kind="stable")
     sorted_values, sorted_weights = values[order], weights[order]
     value_id = np.zeros(n, dtype=np.intp)
     np.cumsum(sorted_values[1:] != sorted_values[:-1], out=value_id[1:])
+    rank = np.empty(n + 1, dtype=np.int32)  # int32 sorts faster than intp
+    rank[order], rank[n] = np.arange(n), n
     # Values below 2^1023 in magnitude: no midpoint overflows (``_halfway``).
     wide = max(-float(sorted_values[0]), float(sorted_values[-1])) >= 2.0**1023
-    # Blocks of rows by increasing size: a block's member matrices stay
-    # under _UNPACK_ELEMS bytes, and its float temporaries (one entry per
-    # member, or per cell of the padded (rows x distinct values) table)
-    # under _BLOCK_ELEMS // 2 elements.
-    by_size = np.argsort(sizes, kind="stable")
-    ordered = sizes[by_size]
-    a = 0
-    while a < m:
-        b = min(m, a + max(1, _UNPACK_ELEMS // n))
-        while b - a > 1 and (b - a) * int(ordered[b - 1]) > _BLOCK_ELEMS // 2:
-            b = a + max(1, _BLOCK_ELEMS // 2 // int(ordered[b - 1]))
-        sel, size, r = by_size[a:b], ordered[a:b], b - a
-        member = _member_matrix(words[sel], n)
-
-        # mu(B) is weights[idx].sum(): the row sum of a C-contiguous
-        # (rows, k) array runs the pairwise loop of the 1-D sum, so totals
-        # are taken on one slice of the index-order weights per size.
-        w = weights[np.flatnonzero(member) % n]
-        start = np.cumsum(size, dtype=np.intp) - size
-        total = np.empty(r)
-        cuts = [0, *(np.flatnonzero(size[1:] != size[:-1]) + 1).tolist(), r]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            k, at = int(size[lo]), int(start[lo])
-            np.add.reduce(w[at : at + (hi - lo) * k].reshape(hi - lo, k), axis=1, out=total[lo:hi])
-        w_min = np.minimum.reduceat(w, start)
-        del w  # the dels keep few of the block's temporaries alive at once
+    padded_weights = np.append(weights, 0.0)
+    for sel, size, pts in _row_blocks(n, sizes, words):
+        r = len(sel)
+        total = _row_sums(padded_weights[pts], size)
 
         # Members in value order, equal values in index order.  A cell is a
         # (row, distinct value) pair; bincount adds each cell's weights in
         # input order, as the one-set computation does, and u takes the
         # value of the cell's lowest-index member, zero sign included.
-        row, q = np.divmod(np.flatnonzero(member[:, order]), n)
-        del member
+        ranked = np.sort(rank[pts], axis=1)
+        q = ranked[ranked < n].astype(np.intp)
+        row = np.repeat(np.arange(r), size)
+        del ranked
         key = row * n + value_id[q]
         new = np.empty(len(key), dtype=bool)
         new[0] = True
         np.not_equal(key[1:], key[:-1], out=new[1:])
         del key
-        mass = np.bincount(np.cumsum(new) - 1, weights=sorted_weights[q])
+        w = sorted_weights[q]
+        mass = np.bincount(np.cumsum(new) - 1, weights=w)
+        w_min = np.minimum.reduceat(w, np.cumsum(size) - size)
+        del w  # the dels keep few of the block's temporaries alive at once
         u = sorted_values[q[new]]
         cell_row = row[new]
         del row, q, new
@@ -314,7 +301,6 @@ def _shorth_rows(values: np.ndarray, weights: np.ndarray, words, sizes, s: float
         osc[sel] = np.where(single, 0.0, b_osc)
         c[sel] = np.where(single, low, b_c)
         mu[sel] = total
-        a = b
     return osc, c, mu
 
 

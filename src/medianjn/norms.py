@@ -79,14 +79,15 @@ candidates it meets, by the same AND.  It is a lower bound, flagged as
 such in results; exact mode starts from its total.  ``Ball`` objects are
 built only for the returned packing.
 
-Oscillations of a whole family come from one kernel call on member rows
-unpacked block by block (``space._member_blocks``).  For every q, the
+Oscillations of a whole family come from one kernel call, which reads
+the rows in the blocks of ``space._row_blocks``.  For every q, the
 integral oscillation scores each ball's values as centers c, with the
 weighted mean and a golden-section minimum for q > 1, where the
 objective is convex; the stably sorted first minimum wins, so a zero c
 takes the sign of the lowest-index member holding it.  Every objective
-and measure is a row sum with the bits of the one-ball computation (see
-``space._size_blocks``).  The space keeps, per SampleFunction, one
+and measure is a row sum with the bits of the one-ball computation: the
+rows of one size form one exact (rows, k) slice of a block, or go
+through ``space._row_sums``.  The space keeps, per SampleFunction, one
 read-only float64 array of oscillations per (kernel, level, region), and
 per family one read-only array of measures: the first kernel call on the
 family records it, and every function, level and kernel reads it.  Norm
@@ -116,10 +117,11 @@ from .space import (
     _canonical_family,
     _distance_order,
     _family_balls,
-    _member_blocks,
     _member_matrix,
     _pack_rows,
     _region_idx,
+    _row_blocks,
+    _row_sums,
     _set_idx,
 )
 
@@ -216,8 +218,9 @@ def _weak_lp_rows(values: np.ndarray, weights: np.ndarray, p: float) -> list[flo
     A stable row sort groups equal values with their members in index
     order, so ``bincount`` adds each value's mass in index order; the mass
     at or above each value is a running sum from the top value down.
-    Padding groups hold zero mass at level zero, which adds nothing to
-    the running sums and never counts as a positive level.
+    Unused groups and padding (value 0, weight 0: an inf level times 0
+    mass is NaN) hold zero mass at level zero, which adds nothing to the
+    running sums and never counts as a positive level.
     """
     r, k = values.shape
     base = (np.arange(r) * k)[:, None]
@@ -257,30 +260,19 @@ def _integral_rows(values: np.ndarray, weights: np.ndarray, words, sizes, q: flo
     c, mu) in row order.  Per set, the objective sum(wn * |v - c|^q) is
     evaluated at every candidate c in stable sorted order: the sample
     values, which attain the infimum for q <= 1, and for q > 1 the weighted
-    mean and the golden-section minimum.  The first minimum wins.  The
-    blocks of ``_member_blocks`` go in groups of at most ``_BLOCK_ELEMS``
-    points that share one search, whose steps cost mostly numpy calls.
+    mean and the golden-section minimum.  The first minimum wins.  Each
+    ``_row_blocks`` block of up to ``_BLOCK_ELEMS`` elements shares one
+    search, whose steps cost mostly numpy calls, over its size slices.
     """
-    m = len(sizes)
+    m, n = len(sizes), len(values)
     osc, c, mu = np.empty(m), np.empty(m), np.empty(m)
-    for group in _block_groups(_member_blocks(words, sizes, len(values))):
-        golden = _golden_rows(values, weights, [pts for _, pts in group], q)
-        for (sel, pts), best in zip(group, golden):
-            osc[sel], c[sel], mu[sel] = _integral_block(values, weights, pts, q, best)
+    for sel, size, pts in _row_blocks(n, sizes, words, _BLOCK_ELEMS):
+        cuts = [0, *(np.flatnonzero(size[1:] != size[:-1]) + 1).tolist(), len(size)]
+        parts = [(sel[lo:hi], pts[lo:hi, : size[lo]]) for lo, hi in zip(cuts, cuts[1:])]
+        golden = _golden_rows(values, weights, [part for _, part in parts], q)
+        for (rows, part), best in zip(parts, golden):
+            osc[rows], c[rows], mu[rows] = _integral_block(values, weights, part, q, best)
     return osc, c, mu
-
-
-def _block_groups(blocks):
-    """Consecutive (rows, index block) pairs, grouped up to ``_BLOCK_ELEMS`` points, or one."""
-    group, points = [], 0
-    for sel, pts in blocks:
-        if group and points + pts.size > _BLOCK_ELEMS:
-            yield group
-            group, points = [], 0
-        group.append((sel, pts))
-        points += pts.size
-    if group:
-        yield group
 
 
 def _integral_block(values: np.ndarray, weights: np.ndarray, pts: np.ndarray, q: float, golden):
@@ -761,7 +753,7 @@ def jn_centered_sup(
 
     Per-ball term mu(B) * m^s_{|f - m_f^t(B)|}(B)^p; for 0 < s <= t <= 1/2
     this sits between the norm's p-th power and 2^p times it.  Per block of
-    family rows, ``_maximal_median_rows`` gives the centers, then the medians.
+    ``_row_blocks``, ``_maximal_median_rows`` gives the centers, then the medians.
     """
     _check_p_exceeds_1(p)
     if not (0.0 < s <= t <= 0.5):
@@ -770,11 +762,12 @@ def jn_centered_sup(
 
     def compute(family):
         oscs, mus = np.empty(len(family)), np.empty(len(family))
-        for sel, pts in _member_blocks(family.words, family.sizes, space.n):
-            v, w = vals[pts], space.weights[pts]
-            center = _maximal_median_rows(v, w, t)
-            oscs[sel] = _maximal_median_rows(np.abs(v - center[:, None]), w, s)
-            mus[sel] = w.sum(axis=1)
+        padded_vals, padded_weights = np.append(vals, np.inf), np.append(space.weights, 0.0)
+        for sel, size, pts in _row_blocks(space.n, family.sizes, family.words):
+            v, w = padded_vals[pts], padded_weights[pts]
+            center = _maximal_median_rows(v, w, t, size)
+            oscs[sel] = _maximal_median_rows(np.abs(v - center[:, None]), w, s, size)
+            mus[sel] = _row_sums(w, size)
         return oscs, mus
 
     key = ("centered_family", float(s), float(t))

@@ -43,10 +43,11 @@ directly.  ``Ball`` objects are built from them only where a caller gets
 balls back: ``canonical_balls``, ``cz_family`` and a norm's packing.
 Balls given as (center, radius) pairs, such as a chain decomposition's
 balls and their dilates, come as member rows from one comparison of
-their centers' distance rows (``_ball_rows``).  Kernels that take a
-value per row of such a family (integral oscillations, maximal medians,
-the chain decomposition's measures) group the rows by size with
-``_size_blocks``, whose docstring states the bit rule of their row sums.
+their centers' distance rows (``_ball_rows``).  Every kernel that
+takes a value per row of a family or of point lists reads the rows
+through one iterator, ``_row_blocks``, in padded blocks of mixed sizes,
+and sums rows by one rule, ``_row_sums``, which keeps the bits of
+``space.mu``.
 
 ``doubling_profile`` reads the same order.  The breaks between distinct
 distances give every center's representative radii, B(c, r_i) is the
@@ -54,9 +55,9 @@ prefix up to break i, and B(c, 2 r_i) is the prefix of sorted distances
 below 2 r_i.  A measure must have the bits of ``w[row < r].sum()``,
 numpy's pairwise sum over the members in index order, so prefixes are
 not summed by ``cumsum`` or over zero-padded rows, which group the
-additions differently: per prefix length L, the members of every prefix
-of that length are gathered in index order into one (rows, L) array and
-summed along its rows.
+additions differently: ``_prefix_measures`` gathers, per prefix length
+L, the members of every prefix of that length in index order into one
+(rows, L) array and sums it along its rows.
 
 The certificate's ratio at (x, R) is lead(x, R) = mu(B(x, R)) /
 (c_mu^2 R^D) times the largest g = r^D / mu(B(y, r)) over the (y, r)
@@ -474,47 +475,55 @@ def _pack_rows(rows: np.ndarray) -> np.ndarray:
     return packed.view("<u8")
 
 
-def _member_indices(words: np.ndarray, n: int) -> np.ndarray:
-    """Member indices of packed rows, row after row, each row in index order."""
-    step = max(1, _UNPACK_ELEMS // n)
-    parts = [
-        np.flatnonzero(_member_matrix(words[a : a + step], n)) % n for a in range(0, len(words), step)
-    ]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+def _row_blocks(n: int, sizes, members: np.ndarray, elems: int = _BLOCK_ELEMS // 2):
+    """Sets in blocks of mixed sizes, each block a padded matrix of member indices.
 
-
-def _size_blocks(sizes, block):
-    """Rows of concatenated point lists, grouped by size, in blocks.
-
-    ``sizes`` gives each row's length.  Yields, per nonzero size k in
-    increasing order, the rows of that size in row order, in blocks of at
-    most ``block(k)`` rows (one at least), each with a C-contiguous
-    (rows, k) array of their positions in the concatenation.  Gathered
-    through it, a block's weights have row sums with the bits of
-    ``space.mu`` on each row, the points taken in the row's own order:
-    the row sum of a C-contiguous array runs the pairwise loop of the
-    1-D sum.  Every row kernel relies on this for its measures, objectives
-    and cumulative masses.
+    ``members`` is packed member words, one row per set (a family's
+    layout), or the sets' point lists concatenated (1-D; a point may
+    repeat).  Rows go by increasing size, stably, in consecutive blocks of
+    at most ``_UNPACK_ELEMS // n`` rows and ``elems`` padded elements, or
+    of one row.  Yields per block the rows, their sizes and an int (rows,
+    largest size) matrix: each row's members (in index or list order),
+    then the pad index n, which gathers a kernel's appended fill value.
     """
-    sizes = np.asarray(sizes, dtype=np.int32)
-    starts = np.cumsum(sizes, dtype=np.intp) - sizes
-    for k in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():
-        rows = np.flatnonzero(sizes == k)
-        step = max(1, block(k))
-        for a in range(0, len(rows), step):
-            part = rows[a : a + step]
-            yield part, starts[part, None] + np.arange(k)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    by_size = np.argsort(sizes, kind="stable")
+    ordered = sizes[by_size]
+    packed = members.ndim == 2
+    if not packed:
+        src = np.append(members, n)
+        starts = np.cumsum(sizes) - sizes
+    a, m = 0, len(sizes)
+    while a < m:
+        b = min(m, a + max(1, _UNPACK_ELEMS // n))
+        while b - a > 1 and (b - a) * int(ordered[b - 1]) > elems:
+            b = a + max(1, elems // int(ordered[b - 1]))
+        rows, size = by_size[a:b], ordered[a:b]
+        cols = np.arange(size[-1])
+        if packed:
+            # A boolean-mask assignment fills each row's first entries in row-major order.
+            pts = np.full((b - a, len(cols)), n)
+            pts[cols < size[:, None]] = np.flatnonzero(_member_matrix(members[rows], n)) % n
+        else:
+            pts = src[np.where(cols < size[:, None], starts[rows, None] + cols, len(src) - 1)]
+        yield rows, size, pts
+        a = b
 
 
-def _point_blocks(sizes):
-    """``_size_blocks`` of at most ``_BLOCK_ELEMS`` points, or one row."""
-    return _size_blocks(sizes, lambda k: _BLOCK_ELEMS // k)
+def _row_sums(block: np.ndarray, sizes) -> np.ndarray:
+    """Per row i of a 2-D array, the sum of its first ``sizes[i]`` entries.
 
-
-def _member_blocks(words: np.ndarray, sizes, n: int):
-    """Per ``_point_blocks`` block of packed rows: the rows and their (rows, k) member indices."""
-    for rows, cols in _point_blocks(sizes):
-        yield rows, _member_indices(words[rows], n).reshape(cols.shape)
+    The bit rule of every row kernel: a run of rows of size k is summed as
+    the slice ``block[lo:hi, :k]``, each row by the pairwise loop of the
+    1-D sum, so a set's weights sum to the bits of ``space.mu``; a whole
+    padded row groups the additions differently once k > 8.
+    """
+    sizes = np.asarray(sizes)
+    out = np.empty(len(sizes))
+    cuts = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), len(sizes)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        np.add.reduce(block[lo:hi, : sizes[lo]], axis=1, out=out[lo:hi])
+    return out
 
 
 def _prefix_family(space: Space, centers, budget=None, inside=None) -> _BallFamily:
@@ -609,7 +618,7 @@ def _family_balls(space: Space, family: _BallFamily, rows=None) -> tuple[Ball, .
     balls = []
     for a in range(0, len(rows), step):
         part = slice(a, a + step)
-        members = _member_indices(words[part], space.n)
+        members = np.flatnonzero(_member_matrix(words[part], space.n)) % space.n
         balls += _balls(space, centers[part], radii[part], members, sizes[part])
     return tuple(balls)
 

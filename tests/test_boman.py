@@ -6,7 +6,14 @@ import pytest
 
 import medianjn as mj
 from medianjn import boman
-from medianjn.errors import ConstructionFailed, InvalidS, UnknownBall, UnverifiedDecomposition
+from medianjn.errors import (
+    ConstructionFailed,
+    InvalidLevel,
+    InvalidParameter,
+    InvalidS,
+    UnknownBall,
+    UnverifiedDecomposition,
+)
 
 from util import fn, random_space
 
@@ -50,15 +57,6 @@ def test_violation_detection(grid32, dec32):
     )
     cert = mj.verify_boman(grid32, bad)
     assert not cert.ok and "v-absorption" in cert.failing()
-
-
-def test_block_granularity():
-    g = mj.grid_space(1, 30, spacing=1.0 / 30)
-    dec = mj.grid_boman_decomposition(g, mj.ball_at(g, "p15", 5.0), granularity=3)
-    assert mj.verify_boman(g, dec).ok
-    assert len(dec.balls) == 10
-    with pytest.raises(mj.errors.InvalidParameter):
-        mj.grid_boman_decomposition(g, mj.ball_at(g, "p15", 5.0), granularity=2)
 
 
 def test_construction_failed_two_points():
@@ -119,6 +117,30 @@ def test_global_verify_log_fixture(grid32, dec32):
     assert math.isfinite(rep.c_measured) and math.isfinite(rep.c0_empirical)
     with pytest.raises(InvalidS):
         mj.global_jn_verify(grid32, f, dec32, 2.0, 0.4, 0.5)
+
+
+def test_global_verify_refuses_an_empty_or_non_finite_lambda_grid(grid32, dec32):
+    # A NaN level used to pass, and so did an empty grid.
+    f = mj.canonical_function("log_blowup", grid32)
+    for grid in ([math.nan], [1.0, math.inf], []):
+        with pytest.raises(InvalidLevel):
+            mj.global_jn_verify(grid32, f, dec32, 2.0, 0.0005, 0.5, lambda_grid=grid)
+
+
+def test_global_verify_refuses_a_budget_that_is_not_finite_and_positive(grid32, dec32):
+    # A NaN budget used to report a failed inequality.
+    f = mj.canonical_function("log_blowup", grid32)
+    for budget in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(InvalidParameter) as info:
+            mj.global_jn_verify(grid32, f, dec32, 2.0, 0.0005, 0.5, c_budget=budget)
+        assert str(info.value) == f"the budget must be finite and positive, got {budget}"
+
+
+def test_equivalence_refuses_a_budget_that_is_not_finite_and_positive(grid32):
+    f = mj.canonical_function("log_blowup", grid32)
+    for budget in (math.nan, math.inf, 0.0):
+        with pytest.raises(InvalidParameter, match="budget must be finite and positive"):
+            mj.jn_equivalence_check(grid32, f, ["p0", "p1", "p2"], 2.0, 1.0, 0.25, budget)
 
 
 def test_constant_function_global(grid32, dec32):

@@ -140,32 +140,24 @@ def reference_verify(space, dec):
     return BomanCertificate(tuple(reports), all(r.passed for r in reports))
 
 
-def reference_windowed(space, target_ball, spacing, dims, half_window, c3, granularity):
-    r0 = 0.5 * spacing * granularity
-    c1 = (2.0 * half_window + granularity) * spacing / (2.0 * r0)
-    c2 = (2.0 * (half_window + 1) + granularity) * spacing / (2.0 * r0)
+def reference_windowed(space, target_ball, spacing, half_window, c3):
+    r0 = 0.5 * spacing
+    c1 = (2.0 * half_window + 1) * spacing / (2.0 * r0)
+    c2 = (2.0 * (half_window + 1) + 1) * spacing / (2.0 * r0)
 
     target = list(target_ball.idx)
-    if granularity == 1:
-        centers = target
-    else:
-        if dims != 1:
-            return None
-        ordered = sorted(target, key=lambda i: space.coords[i, 0])
-        if len(ordered) % granularity != 0:
-            return None
-        centers = [ordered[k + granularity // 2] for k in range(0, len(ordered), granularity)]
+    centers = target
     balls = tuple(mj.ball_at(space, space.point_ids[c], r0) for c in centers)
 
     centroid = space.coords[target].mean(axis=0)
     dists = np.linalg.norm(space.coords[centers] - centroid[None, :], axis=1)
     central = int(np.argmin(dists))
 
-    pos = {tuple(np.round(space.coords[c] / (spacing * granularity)).astype(int)): k
+    pos = {tuple(np.round(space.coords[c] / spacing).astype(int)): k
            for k, c in enumerate(centers)}
     chains = {}
     for k in range(len(centers)):
-        path = reference_grid_chain(pos, centers, central, k, space, spacing * granularity)
+        path = reference_grid_chain(pos, centers, central, k, space, spacing)
         if path is None:
             return None
         chains[k] = tuple(path)
@@ -247,7 +239,7 @@ LATTICE = [(hw, c3) for hw in (2, 3, 4, 6, 8) for c3 in (1.5, 1.01)]
 
 
 def _spaces():
-    """(name, space, target ball, granularity) of the comparison suite."""
+    """(name, space, target ball) of the comparison suite."""
     line32 = mj.grid_space(1, 32, spacing=1 / 32)
     line64 = mj.grid_space(1, 64, spacing=1 / 64)
     line96 = mj.grid_space(1, 96, spacing=1 / 96)
@@ -256,17 +248,17 @@ def _spaces():
     rand48 = mj.grid_space(1, 48, spacing=1 / 48, weight_profile="random", seed=11)
     grids = {k: mj.grid_space(2, k) for k in (6, 8, 12)}
     return [
-        ("line32", line32, mj.ball_at(line32, "p15", 10.0), 1),
-        ("line32-part", line32, mj.ball_at(line32, "p16", 5.0 / 32), 1),
-        ("line64", line64, mj.ball_at(line64, "p31", 10.0), 1),
-        ("line96", line96, mj.ball_at(line96, "p40", 10.0), 1),
-        ("line30-g3", line30, mj.ball_at(line30, "p15", 5.0), 3),
-        ("rand32", rand32, mj.ball_at(rand32, "p15", 10.0), 1),
-        ("rand48", rand48, mj.ball_at(rand48, "p20", 0.3), 1),
-        ("grid6", grids[6], mj.ball_at(grids[6], "p0", 100.0), 1),
-        ("grid8", grids[8], mj.ball_at(grids[8], "p0", 100.0), 1),
-        ("grid8-disc", grids[8], mj.ball_at(grids[8], "p27", 2.5), 1),
-        ("grid12", grids[12], mj.ball_at(grids[12], "p0", 100.0), 1),
+        ("line32", line32, mj.ball_at(line32, "p15", 10.0)),
+        ("line32-part", line32, mj.ball_at(line32, "p16", 5.0 / 32)),
+        ("line64", line64, mj.ball_at(line64, "p31", 10.0)),
+        ("line96", line96, mj.ball_at(line96, "p40", 10.0)),
+        ("line30", line30, mj.ball_at(line30, "p15", 5.0)),
+        ("rand32", rand32, mj.ball_at(rand32, "p15", 10.0)),
+        ("rand48", rand48, mj.ball_at(rand48, "p20", 0.3)),
+        ("grid6", grids[6], mj.ball_at(grids[6], "p0", 100.0)),
+        ("grid8", grids[8], mj.ball_at(grids[8], "p0", 100.0)),
+        ("grid8-disc", grids[8], mj.ball_at(grids[8], "p27", 2.5)),
+        ("grid12", grids[12], mj.ball_at(grids[12], "p0", 100.0)),
     ]
 
 
@@ -280,12 +272,12 @@ PARTIAL = {"line32-part", "rand48", "grid8-disc"}
 @pytest.fixture(scope="module")
 def decompositions():
     decs = {}
-    for name, space, target, gran in SPACES:
+    for name, space, target in SPACES:
         if name in PARTIAL:
             with pytest.raises(ConstructionFailed):
-                mj.grid_boman_decomposition(space, target, granularity=gran)
+                mj.grid_boman_decomposition(space, target)
         else:
-            decs[name] = (space, mj.grid_boman_decomposition(space, target, granularity=gran))
+            decs[name] = (space, mj.grid_boman_decomposition(space, target))
     return decs
 
 
@@ -312,11 +304,11 @@ def _hex(result):
 # ---------------------------------------------------------------- builder and verifier
 
 
-@pytest.mark.parametrize("name, space, target, gran", SPACES, ids=[s[0] for s in SPACES])
-def test_windowed_decomposition_matches_set_loops(name, space, target, gran):
-    dims, spacing = boman._grid_layout(space)
+@pytest.mark.parametrize("name, space, target", SPACES, ids=[s[0] for s in SPACES])
+def test_windowed_decomposition_matches_set_loops(name, space, target):
+    spacing = boman._grid_spacing(space)
     for hw, c3 in LATTICE:
-        args = (space, target, spacing, dims, hw, c3, gran)
+        args = (space, target, spacing, hw, c3)
         new, old = boman._windowed_decomposition(*args), reference_windowed(*args)
         assert _text(new) == _text(old), (hw, c3)
         if new is not None:

@@ -314,3 +314,51 @@ def test_doubling_on_a_nan_coordinate_exits_2(tmp_path, capsys):
     assert main(["doubling", "--space", str(space_path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: coordinates must be finite\n" and not captured.out
+
+
+@pytest.fixture()
+def local_jn_argv(tmp_path):
+    # The README's verify-local-jn call on its 64-point log_blowup fixture.
+    sp = mj.grid_space(1, 64, spacing=0.015625)
+    space_path, fn_path = tmp_path / "space.json", tmp_path / "f.json"
+    space_path.write_text(json.dumps(mj.space_to_json(sp)))
+    fn_path.write_text(json.dumps(mj.canonical_function("log_blowup", sp).to_json(sp)))
+    return ["verify-local-jn", "--space", str(space_path), "--function", str(fn_path),
+            "--center", "p15", "--radius", "0.26", "--p", "2", "--s", "0.001", "--r", "0.5"]
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("list:nan", "lambda levels must be finite, got nan"),
+    ("list:inf", "lambda levels must be finite, got inf"),
+    ("log:1:10:0", "the lambda grid is empty"),
+])
+def test_verify_local_jn_bad_lambda_grid_exits_2(local_jn_argv, capsys, grid, message):
+    # These printed PASS and exited 0; with --output json, list:nan wrote
+    # "lambda": NaN and "rhs": Infinity, which are not JSON.
+    argv = [*local_jn_argv, "--eta", "1", "--output", "json"]
+    assert main([*argv, "--lambda-grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and not captured.out
+    assert main([*argv, "--lambda-grid", "list:1,nan,2"]) == 2
+    assert main([*argv, "--lambda-grid", "log:0.1:10:5"]) == 0
+
+
+def test_verify_local_jn_infinite_eta_exits_2(local_jn_argv, capsys):
+    assert main([*local_jn_argv, "--eta", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: eta must be finite, got inf\n" and not captured.out
+
+
+def test_verify_global_jn_nan_budget_exits_2(boman_files, tmp_path, capsys):
+    # A NaN budget reported a failed inequality and exited 1.
+    dec, write = boman_files
+    argv = write()
+    space = mj.space_from_json(json.loads(Path(argv[argv.index("--space") + 1]).read_text()))
+    fn_path = tmp_path / "f.json"
+    fn_path.write_text(json.dumps(mj.canonical_function("log_blowup", space).to_json(space)))
+    argv = ["verify-global-jn", *argv[1:], "--function", str(fn_path),
+            "--p", "2", "--s", "0.0005", "--r", "0.5"]
+    assert main([*argv, "--budget", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the budget must be finite and positive, got nan\n"
+    assert not captured.out

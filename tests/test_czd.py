@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from medianjn.acceptance import spike_cluster_config
 from medianjn.errors import (
     EmptyLevelSet,
     InvalidCenterLevel,
+    InvalidLevel,
     InvalidParameter,
     InvalidS,
     NonPositiveQ,
@@ -230,6 +232,34 @@ def test_local_verify_level_guards():
         mj.local_jn_verify(f, params, 2.0, params.s0 * 2.0, 0.5)
     with pytest.raises(InvalidCenterLevel):
         mj.local_jn_verify(f, params, 2.0, params.s0 * 0.9, 0.6)
+
+
+def test_local_verify_refuses_an_empty_or_non_finite_lambda_grid():
+    # A NaN or infinite level used to pass with a NaN or infinite rhs, and
+    # an empty grid passed with no level at all.
+    g = mj.grid_space(1, 8)
+    params = mj.cz_params(g, mj.ball_at(g, "p3", 2.5), eta=1.0)
+    f = fn(g, np.arange(8, dtype=float))
+    for grid, message in (([math.nan], "lambda levels must be finite, got nan"),
+                          ([1.0, math.inf], "lambda levels must be finite, got inf"),
+                          ([], "the lambda grid is empty")):
+        with pytest.raises(InvalidLevel) as info:
+            mj.local_jn_verify(f, params, 2.0, params.s0 * 0.9, 0.5, lambda_grid=grid)
+        assert str(info.value) == message
+
+
+def test_cz_params_refuses_infinite_eta():
+    g = mj.grid_space(1, 8)
+    with pytest.raises(InvalidParameter) as info:
+        mj.cz_params(g, mj.ball_at(g, "p3", 2.5), eta=math.inf)
+    assert str(info.value) == "eta must be finite, got inf"
+
+
+def test_cz_params_refuses_infinite_K():
+    g = mj.grid_space(1, 8)
+    with pytest.raises(InvalidParameter) as info:
+        mj.cz_params(g, mj.ball_at(g, "p3", 2.5), eta=1.0, K=math.inf)
+    assert str(info.value) == "K must be finite, got inf"
 
 
 def test_local_verify_report_json():

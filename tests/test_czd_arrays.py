@@ -33,6 +33,7 @@ from medianjn.errors import (
 )
 from medianjn.median import _as_values
 from medianjn.norms import _canonical_family, _jn_norm, _region_idx
+from medianjn.space import _row_blocks
 
 # ---------------------------------------------------------------- per-ball references
 
@@ -507,3 +508,15 @@ def test_cz_params_reuses_the_family():
     assert second.family is first.family
     assert mj.cz_family(g, b0, 2.0) is first.family
     assert mj.cz_params(g, b0, eta=1.0).family is not first.family
+
+
+def test_cluster_cz_family_goes_through_one_block():
+    # The 65-row CZ family of the depth-6 cluster space used to take one
+    # kernel call per size, 64 in all; its padded rows fit one block.
+    cs = mj.cluster_space(6)
+    for star in (0, 7, 63):
+        params = mj.cz_params(cs, mj.ball_at(cs, f"p{star}", 2.0), eta=1e5)
+        family = _canonical_family(cs, params.b0.idx, params.budget)
+        blocks = list(_row_blocks(cs.n, family.sizes, family.words))
+        assert len(family) == 65 and len(set(family.sizes.tolist())) == 64
+        assert len(blocks) == 1 and sorted(blocks[0][0].tolist()) == list(range(65))

@@ -9,7 +9,7 @@ import medianjn as mj
 from medianjn.errors import EmptySet, InvalidS
 from medianjn import acceptance
 from medianjn.median import _maximal_median_rows, _shorth_rows
-from medianjn.space import _member_indices
+from medianjn.space import _member_matrix
 
 from util import family_of, fn, line_space, packed, random_space, two_point_space
 
@@ -285,7 +285,7 @@ def _former_shorth_rows(values, weights, words, sizes, s):
         while b - a > 1 and (b - a) * ordered[b - 1] > block_elems:
             b = a + max(1, block_elems // int(ordered[b - 1]))
         sel = by_size[a:b]
-        members = _member_indices(words[sel], len(values))
+        members = np.flatnonzero(_member_matrix(words[sel], len(values))) % len(values)
         osc[sel], c[sel], mu[sel] = _former_shorth_block(values, weights, members, ordered[a:b], s)
         a = b
     return osc, c, mu
@@ -538,6 +538,43 @@ def test_maximal_median_ties_keep_index_order():
         got = _maximal_median_rows(values, weights, 0.5).tolist()
         for row, value in enumerate(got):
             assert value == _stable_maximal_median(values[row].tolist(), weights[row].tolist(), 0.5)
+
+
+def test_padded_maximal_median_rows_match_each_row_in_hex():
+    # Rows of sizes straddling 8, 16, 128 and 129 in one padded block, as
+    # space._row_blocks lays them out: value +inf and weight 0 after each
+    # row's own entries.  Rows hold generic values, ties with signed zeros,
+    # or near-equal weights; s = 1e-6 lies below every lightest weight
+    # share, and at s = 1e-300 some rows pass no tail (the running sum ends
+    # below the pairwise total) and give their first sorted value.
+    rng = np.random.default_rng(23)
+    sizes, rows = [], []
+    for k in (129, 1, 8, 128, 9, 2, 16, 127, 7, 17, 15, 129):
+        for kind in range(3):
+            if kind == 0:
+                values, weights = rng.normal(size=k), rng.uniform(0.1, 2.0, size=k)
+            elif kind == 1:
+                values = rng.choice([-0.0, 0.0, 1.0, -1.0, 2.0], size=k)
+                weights = rng.integers(1, 21, size=k) / 10.0
+            else:
+                values = rng.integers(0, 4, size=k).astype(float)
+                weights = 1.0 + rng.uniform(-1e-9, 1e-9, size=k)
+            sizes.append(k)
+            rows.append((values, weights))
+    width = max(sizes)
+    block_v, block_w = np.full((len(rows), width), np.inf), np.zeros((len(rows), width))
+    for i, (values, weights) in enumerate(rows):
+        block_v[i, : len(values)], block_w[i, : len(weights)] = values, weights
+    no_tail = 0
+    for s in (0.5, 0.25, 1e-6, 1e-300):
+        got = _maximal_median_rows(block_v, block_w, s, sizes).tolist()
+        for value, (values, weights) in zip(got, rows):
+            assert value.hex() == mj.weighted_maximal_median(values, weights, s).hex()
+            ordered = weights[np.argsort(values, kind="stable")]
+            if ordered.sum() - np.cumsum(ordered)[-1] >= s * ordered.sum():
+                assert value == values.min()
+                no_tail += 1
+    assert no_tail > 0
 
 
 def test_from_mapping_reports_missing_and_extra_ids():

@@ -24,8 +24,12 @@ from medianjn.space import (
     SINGLETON_SPACE_RADIUS,
     _canonical_family,
     _make_ball,
+    _BLOCK_ELEMS,
+    _UNPACK_ELEMS,
+    _pack_rows,
     _prefix_family,
-    _size_blocks,
+    _row_blocks,
+    _row_sums,
 )
 
 from util import line_space, random_space, two_point_space
@@ -481,23 +485,57 @@ def test_infinite_total_measure_rejected(monkeypatch):
         mj.build_space(["a", "b"], [1e308, 1e308], coords=[[0.0], [1.0]])
 
 
+def _former_blocks(sizes, n, elems):
+    """The row blocks of the former inline loop of ``median._shorth_rows``."""
+    by_size = np.argsort(sizes, kind="stable")
+    ordered = sizes[by_size]
+    a, blocks = 0, []
+    while a < len(sizes):
+        b = min(len(sizes), a + max(1, _UNPACK_ELEMS // n))
+        while b - a > 1 and (b - a) * int(ordered[b - 1]) > elems:
+            b = a + max(1, elems // int(ordered[b - 1]))
+        blocks.append(by_size[a:b].tolist())
+        a = b
+    return blocks
+
+
 def test_size_blocks_cover_each_row_once_with_the_bits_of_mu():
+    # _row_blocks over point lists (with repeated points and empty rows) and
+    # over packed words: each row once, in the former blocks of the shorth
+    # kernel, and _row_sums of its padded weights with the bits of space.mu.
     rng = np.random.default_rng(12)
-    space = mj.grid_space(1, 40, weight_profile="random", seed=12)
-    sizes = rng.integers(0, 30, size=300)
-    flat = np.concatenate([rng.permutation(space.n)[:k] for k in sizes])
-    starts = np.cumsum(sizes) - sizes
-    seen = []
-    for rows, cols in _size_blocks(sizes, lambda k: 500 // k):
-        k = int(sizes[rows[0]])
-        assert k > 0 and (sizes[rows] == k).all()
-        assert len(rows) <= max(1, 500 // k) and cols.flags.c_contiguous
-        assert np.array_equal(cols, starts[rows, None] + np.arange(k))
-        mu = space.weights[flat[cols]].sum(axis=1)
-        for r, m in zip(rows.tolist(), mu.tolist()):
-            assert m.hex() == space.mu(flat[starts[r] : starts[r] + k]).hex()
-        seen.extend(rows.tolist())
-    assert sorted(seen) == np.flatnonzero(sizes).tolist()
+    space = mj.grid_space(1, 160, weight_profile="random", seed=12)
+    n = space.n
+    straddle = [7, 8, 9, 15, 16, 17, 127, 128, 129]
+    list_sizes = np.concatenate([rng.integers(0, 140, size=300), straddle, [0, 0]])
+    flat = rng.integers(0, n, size=int(list_sizes.sum()))
+    member_rows = np.zeros((len(list_sizes), n), dtype=bool)
+    for r, k in enumerate(np.maximum(list_sizes, 1).tolist()):
+        member_rows[r, rng.permutation(n)[:k]] = True
+    word_sizes = member_rows.sum(axis=1)
+    starts = np.cumsum(list_sizes) - list_sizes
+    padded_weights = np.append(space.weights, 0.0)
+    for sizes, members in ((list_sizes, flat), (word_sizes, _pack_rows(member_rows))):
+        for elems in (_BLOCK_ELEMS // 2, _BLOCK_ELEMS, 500):
+            blocks = []
+            for rows, size, pts in _row_blocks(n, sizes, members, elems):
+                assert np.array_equal(size, sizes[rows]) and (np.diff(size) >= 0).all()
+                assert pts.shape == (len(rows), size[-1])
+                assert len(rows) == 1 or (
+                    len(rows) <= _UNPACK_ELEMS // n and pts.size <= elems)
+                mu = _row_sums(padded_weights[pts], size)
+                for i, (r, k) in enumerate(zip(rows.tolist(), size.tolist())):
+                    own = (np.flatnonzero(member_rows[r]) if members.ndim == 2
+                           else flat[starts[r] : starts[r] + k])
+                    assert pts[i, :k].tolist() == own.tolist() and (pts[i, k:] == n).all()
+                    assert mu[i].hex() == space.mu(own).hex()
+                blocks.append(rows.tolist())
+            assert blocks == _former_blocks(sizes, n, elems)
+    # The straddling sizes in one block, each summed as its own slice.
+    block = rng.uniform(0.1, 2.0, size=(len(straddle), 129))
+    got = _row_sums(block, straddle)
+    for row, k, value in zip(block, straddle, got.tolist()):
+        assert value.hex() == float(row[:k].sum()).hex()
 
 
 # Every entry point that takes a subset or a region, with the error class of
